@@ -181,19 +181,156 @@ def path_bound(path):
 
 def stair_q(path):
     """The product of q-integers [k+1]_q over the path's staircase bound."""
-    out = ONE
-    for k in path_bound(path):
-        out = out * q_integer(k + 1)
-    return out
+    return _stair_product(path_bound(path))
 
 
 def stair_q_from_sets(T, S, n, kind):
     """stair_q given the decoration sets directly; kind "a" or "b"."""
-    bound = alpha_sequence(T, S, n) if kind == "a" else beta_sequence(T, S, n)
+    return _stair_product(alpha_sequence(T, S, n) if kind == "a" else beta_sequence(T, S, n))
+
+
+def _stair_product(bound):
     out = ONE
     for k in bound:
         out = out * q_integer(k + 1)
     return out
+
+
+# -- path-state engine ----------------------------------------------------------
+#
+# Write h_i for the height after step i of a path (h_0 = 0).  Along a type A
+# path alpha_i = h_i - 1, and along a type B path beta_i = h_{i-1} + h_i, so
+# the staircase bound is a function of the heights alone and every series
+# over a path-borne basis is a recursion over path states.  The recursions
+# carry each polynomial in q, u, v as one nonnegative integer: the
+# coefficient of q^a u^b v^c fills the bit field of `width` bits at slot
+# a + qs*(b + us*c).  No coefficient of a partial sum exceeds the basis
+# size, so fields never overflow, and adding or shifting these integers adds
+# or multiplies the polynomials.
+
+
+class _Packing:
+    """The bit layout of packed polynomials for the a12 (kind "a") or b12
+    (kind "b") series of size n."""
+
+    def __init__(self, n, kind):
+        if kind == "a":
+            size, top_q = (1 << (n - 1)) * factorial(n), n * (n - 1) // 2
+        else:
+            size, top_q = 4**n * factorial(n), n * n
+        self.width = -(-size.bit_length() // 8) * 8  # bits per field, whole bytes
+        self.qs = top_q + 1  # slots per u^b v^c block
+        self.us = n + 1  # blocks per power of v
+
+    def shift(self, a, b, c):
+        """Left shift that multiplies a packed polynomial by q^a u^b v^c."""
+        return self.width * (a + self.qs * (b + self.us * c))
+
+    def q_integer(self, k):
+        """The packed q-integer [k]_q."""
+        return sum(1 << self.width * a for a in range(k))
+
+    def unpack(self, value):
+        """The QuvPolynomial that `value` packs."""
+        step = self.width // 8
+        data = value.to_bytes(-(-value.bit_length() // self.width) * step, "little")
+        terms = {}
+        for slot in range(len(data) // step):
+            coeff = int.from_bytes(data[slot * step:(slot + 1) * step], "little")
+            if coeff:
+                rest, a = divmod(slot, self.qs)
+                c, b = divmod(rest, self.us)
+                terms[(a, b, c)] = coeff
+        return QuvPolynomial(terms)
+
+
+# (height change, theta bit, xi bit) of the steps U, T, X, D
+_MOVES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
+
+
+def _height_series(n, kind):
+    """The a12 (kind "a") or b12 (kind "b") Hilbert series by recursion
+    over the path height.
+
+    The state after step i is the height h_i.  A step multiplies by its
+    weight 1, u, v or uv and by the q-integer of the staircase entry it
+    fixes: [h_i]_q in type A, [h_{i-1} + h_i + 1]_q in type B.  Type A
+    paths start with the forced up-step, whose factor is [1]_q = 1.
+    """
+    pack = _Packing(n, kind)
+    q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
+    moves = [(dh, pack.shift(0, t, x)) for dh, t, x in _MOVES]
+    floor = 1 if kind == "a" else 0
+    layer = {1: 1} if kind == "a" else {0: 1}
+    for _ in range(n - 1 if kind == "a" else n):
+        nxt = {}
+        for h, value in layer.items():
+            fanout = {}
+            for dh, shift in moves:
+                if h + dh >= floor:
+                    fanout[h + dh] = fanout.get(h + dh, 0) + (value << shift)
+            for h1, term in fanout.items():
+                if kind == "b":
+                    term *= q_ints[h + h1 + 1]
+                nxt[h1] = nxt.get(h1, 0) + term
+        if kind == "a":
+            for h1 in nxt:
+                nxt[h1] *= q_ints[h1]
+        layer = nxt
+    return pack.unpack(sum(layer.values()))
+
+
+@lru_cache(maxsize=8)
+def ascent_table(n):
+    """The a12 Hilbert series split by ascent set, without enumeration.
+
+    Returns ((mask, poly), ...) in mask order over the ascent sets that
+    occur, where bit i-1 of mask marks i as an ascent and poly sums
+    q^deg_x u^deg_theta v^deg_xi over the elements with that ascent set.
+
+    Whether i is an ascent depends on (theta_i, theta_{i+1}, alpha_i,
+    alpha_{i+1}, xi_{i+1}) only (see ascent_positions), so the state after
+    position i is (h_i, theta_i, alpha_i) plus the ascents fixed so far.  A
+    depth-first walk over the ascent bits keeps one ascent prefix in memory
+    at a time; the work grows with the 2^(n-1) ascent sets, not with the
+    2^(n-1) n! elements.
+    """
+    if n < 1:
+        raise ValueError("ascent_table needs n >= 1")
+    pack = _Packing(n, "a")
+    moves = [(dh, t, x, pack.shift(0, t, x)) for dh, t, x in _MOVES]
+    out = []
+
+    def walk(i, mask, states):
+        # states maps (h_i, theta_i, alpha_i) to the packed weights of the
+        # length-i prefixes whose ascents among 1..i-1 are `mask`
+        if i == n:
+            out.append((mask, pack.unpack(sum(states.values()))))
+            return
+        branches = ({}, {})
+        for (h, t0, a0), value in states.items():
+            for dh, t1, x1, shift in moves:
+                h1 = h + dh
+                if h1 < 1:
+                    continue
+                value_1 = value << shift
+                for a1 in range(h1):
+                    if t0 != t1:
+                        rise = t0 < t1
+                    elif t0:
+                        rise = a0 >= a1 + x1
+                    else:
+                        rise = a0 < a1 + x1
+                    branch = branches[rise]
+                    key = (h1, t1, a1)
+                    branch[key] = branch.get(key, 0) + (value_1 << pack.width * a1)
+        for rise, branch in enumerate(branches):
+            if branch:
+                walk(i + 1, mask | rise << (i - 1), branch)
+
+    # position 1 is the forced up-step: h_1 = 1, no decoration, alpha_1 = 0
+    walk(1, 0, {(1, 0, 0): 1})
+    return tuple(sorted(out))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -248,46 +385,29 @@ def enumerate_basis(n, variant):
 
 
 def count_basis(n, variant):
-    """Cardinality of the basis without materializing it (streams over paths)."""
-    if variant in ("a12", "b12"):
-        total = 0
-        for path in motzkin.enumerate_paths(n, variant[0]):
-            prod = 1
-            for b in path_bound(path):
-                prod *= b + 1
-            total += prod
-        return total
-    return len(enumerate_basis(n, variant))
+    """Cardinality of the basis: the Hilbert series at q = u = v = 1."""
+    return hilbert_series(n, variant).evaluate()
 
 
 # -- series -------------------------------------------------------------------
 
 
 def hilbert_series(n, variant):
-    """The trigraded Hilbert series: sum of u^|T| v^|S| q^(sum alpha)."""
+    """The trigraded Hilbert series: sum of u^|T| v^|S| q^(sum alpha).
+
+    a12 and b12 come from the path-height recursion; a11 and b11 are their
+    xi-free parts (v = 0) and a02 is the x-free part of a12 (q = 0).
+    """
     if n < 1:
         raise ValueError("hilbert_series needs n >= 1")
-    total = ZERO
-    if variant in ("a12", "b12"):
-        for path in motzkin.enumerate_paths(n, variant[0]):
-            T, S = path.weight_sets()
-            total = total + QuvPolynomial({(0, len(T), len(S)): 1}) * stair_q(path)
-    elif variant == "a02":
-        terms = {}
-        for path in motzkin.enumerate_paths(n, "a"):
-            T, S = path.weight_sets()
-            key = (0, len(T), len(S))
-            terms[key] = terms.get(key, 0) + 1
-        total = QuvPolynomial(terms)
-    else:
-        lowest = 2 if variant == "a11" else 1
-        for theta in _subset_bits(n, lowest):
-            T = frozenset(i + 1 for i, b in enumerate(theta) if b)
-            piece = QuvPolynomial({(0, len(T), 0): 1})
-            for b in super_artin_bound(T, n, variant[0]):
-                piece = piece * q_integer(b + 1)
-            total = total + piece
-    return total
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant %r" % (variant,))
+    series = _height_series(n, variant[0])
+    if variant in ("a11", "b11"):
+        return series.substitute(v=0)
+    if variant == "a02":
+        return series.substitute(q=0)
+    return series
 
 
 def hilbert_11_formula(n, kind):

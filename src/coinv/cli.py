@@ -3,22 +3,35 @@
 Subcommands: basis, hilbert, frobenius, bijection, hook, hmu, verify,
 oracle.  All computation is deterministic, so output is byte-stable for a
 fixed invocation regardless of --jobs.  Exit codes: 0 success, 1
-verification failure, 2 invalid input.
+verification failure, 2 invalid input, 141 stdout closed by its reader.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import basis, oracle, smirnov, symfun, verify
 from .combinat import Partition
 
 
+# 128 + SIGPIPE: the status of a process that a closed pipe ended
+EXIT_CLOSED_PIPE = 141
+
+
 def _fail(message):
     print(message, file=sys.stderr)
     return 2
+
+
+def _check_kl(args):
+    """Refuse --k/--l outside 0 <= k, 0 <= l, k + l < n (unset counts as 0)."""
+    k = args.k or 0
+    l = args.l or 0
+    if k < 0 or l < 0 or k + l >= args.n:
+        raise ValueError("--k and --l need 0 <= k, 0 <= l and k + l < n=%d" % args.n)
 
 
 def _print_rows(rows, header, fmt):
@@ -67,6 +80,7 @@ def cmd_hilbert(args):
 
 
 def cmd_frobenius(args):
+    _check_kl(args)
     qsym = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
     if args.form == "qsym":
         if args.format == "json":
@@ -136,6 +150,7 @@ def cmd_bijection(args):
 
 
 def cmd_hook(args):
+    _check_kl(args)
     rows = []
     ds = [args.d] if args.d is not None else range(args.n)
     for d in ds:
@@ -160,6 +175,7 @@ def cmd_hmu(args):
         return _fail("invalid --mu: %s" % exc)
     if mu.n != args.n:
         return _fail("--mu must be a partition of n=%d" % args.n)
+    _check_kl(args)
     rows = []
     ks = [args.k] if args.k is not None else range(args.n)
     for k in ks:
@@ -269,9 +285,17 @@ def main(argv=None):
     if args.n < 1:
         return _fail("--n must be at least 1")
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout at
+        # the null device so the flush at exit cannot fail again, and exit
+        # as a process ended by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (ValueError, RuntimeError) as exc:
         return _fail(str(exc))
+    return code
 
 
 if __name__ == "__main__":

@@ -44,12 +44,12 @@ class QuvPolynomial:
                 terms[key] = new
             else:
                 terms.pop(key, None)
-        return QuvPolynomial(terms)
+        return _trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuvPolynomial({k: -c for k, c in self.terms.items()})
+        return _trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -68,7 +68,7 @@ class QuvPolynomial:
                     terms[key] = new
                 else:
                     del terms[key]
-        return QuvPolynomial(terms)
+        return _trusted(terms)
 
     __rmul__ = __mul__
 
@@ -125,7 +125,7 @@ class QuvPolynomial:
                 terms[key] = new
             else:
                 terms.pop(key, None)
-        return QuvPolynomial(terms)
+        return _trusted(terms)
 
     def degrees(self):
         """Return the componentwise maximum exponent triple (0,0,0) if zero."""
@@ -152,43 +152,41 @@ class QuvPolynomial:
 
     def __str__(self):
         """Human-readable form, e.g. "q^2 + 3q + 2" (descending term order)."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key, coeff in sorted(self.terms.items(), reverse=True):
-            mono = _monomial_str(key)
-            if coeff < 0:
-                sign, mag = " - ", -coeff
-            else:
-                sign, mag = " + ", coeff
-            body = mono if mag == 1 and mono else ("%d%s" % (mag, mono) if mono else str(mag))
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == " - " else "") + first_body
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
+        return self._format(" %s ", latex=False)
 
     def latex(self):
         """LaTeX form with braced exponents, same term order as str()."""
+        return self._format("%s", latex=True)
+
+    def _format(self, joiner, latex):
+        """Terms in descending order, each sign after the first written as
+        joiner % sign; a leading minus sign is bare."""
         if not self.terms:
             return "0"
-        pieces = []
+        out = []
         for key, coeff in sorted(self.terms.items(), reverse=True):
-            mono = _monomial_str(key, latex=True)
-            if coeff < 0:
-                sign, mag = "-", -coeff
-            else:
-                sign, mag = "+", coeff
-            body = mono if mag == 1 and mono else ("%d%s" % (mag, mono) if mono else str(mag))
-            pieces.append((sign, body))
-        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
+            mono = _monomial_str(key, latex)
+            mag = abs(coeff)
+            body = mono if mag == 1 and mono else "%d%s" % (mag, mono)
+            sign = "-" if coeff < 0 else "+"
+            if out:
+                out.append(joiner % sign)
+            elif sign == "-":
+                out.append("-")
+            out.append(body)
+        return "".join(out)
 
     def __repr__(self):
         return "QuvPolynomial(%s)" % str(self)
+
+
+def _trusted(terms):
+    """Wrap a terms dict that is already clean: exponent triples of
+    nonnegative ints, no zero coefficients.  Arithmetic results qualify, so
+    they skip the per-term validation of QuvPolynomial.__init__."""
+    poly = object.__new__(QuvPolynomial)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 def _monomial_str(key, latex=False):

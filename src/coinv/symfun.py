@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import basis as basis_mod
 from . import smirnov
 from .combinat import Composition, IndexSubset, Partition, comp_of_set, set_of_comp
-from .qpoly import ONE, ZERO, QuvPolynomial, q_binomial, q_power
+from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
 
 @dataclass
@@ -114,20 +114,17 @@ def frobenius_qsym(n, k=None, l=None, route="basis"):
     """The conjectural Frobenius series in the fundamental basis.
 
     Sums u^deg_theta v^deg_xi q^deg_x Q_{Asc(b),n} over basis elements
-    (route "basis"), or q^sminv u^k v^l Q_{Split,n} over segmented
-    permutations (route "words"); the two agree through the bijection.
+    (route "basis", read off basis.ascent_table), or q^sminv u^k v^l
+    Q_{Split,n} over segmented permutations (route "words"); the two agree
+    through the bijection.
     Passing k and/or l restricts to fixed theta/xi degrees.
     """
     out = QSymExpansion(n)
     if route == "basis":
-        for b in basis_mod.enumerate_basis(n, "a12"):
-            dk, dl = b.deg_theta, b.deg_xi
-            if k is not None and dk != k:
-                continue
-            if l is not None and dl != l:
-                continue
-            key = IndexSubset(basis_mod.ascent_positions(b.alpha, b.theta, b.xi), n)
-            out.add(key, QuvPolynomial({(b.deg_x, dk, dl): 1}))
+        for mask, poly in basis_mod.ascent_table(n):
+            poly = _restrict(poly, k, l)
+            if poly:
+                out.add(_subset_of_mask(mask, n), poly)
     elif route == "words":
         for word in smirnov.enumerate_segmented_permutations(n):
             dk, dl = smirnov.ascent_descent_counts(word)
@@ -140,6 +137,28 @@ def frobenius_qsym(n, k=None, l=None, route="basis"):
     else:
         raise ValueError("route must be 'basis' or 'words'")
     return out
+
+
+def _restrict(poly, k, l):
+    """The terms of poly with u-degree k and v-degree l (None: any degree)."""
+    return QuvPolynomial({
+        key: coeff for key, coeff in poly.terms.items()
+        if (k is None or key[1] == k) and (l is None or key[2] == l)
+    })
+
+
+def _subset_of_mask(mask, n):
+    return IndexSubset(tuple(i + 1 for i in range(n - 1) if mask >> i & 1), n)
+
+
+def _q_slice(polys, k, l):
+    """The sum of the u^k v^l coefficients of polys, a polynomial in q."""
+    terms = {}
+    for poly in polys:
+        for (a, b, c), coeff in poly.terms.items():
+            if (b, c) == (k, l):
+                terms[(a, 0, 0)] = terms.get((a, 0, 0), 0) + coeff
+    return QuvPolynomial(terms)
 
 
 # -- slinky straightening ------------------------------------------------------
@@ -291,15 +310,9 @@ def h_mu_coefficient(n, k, l, mu):
         mu = mu.parts
     if sum(mu) != n:
         raise ValueError("mu must be a partition of n")
-    allowed = set(set_of_comp(Composition(tuple(mu))).elements)
-    total = ZERO
-    for b in basis_mod.enumerate_basis(n, "a12"):
-        if b.deg_theta != k or b.deg_xi != l:
-            continue
-        asc = basis_mod.ascent_positions(b.alpha, b.theta, b.xi)
-        if all(a in allowed for a in asc):
-            total = total + q_power(b.deg_x)
-    return total
+    allowed = set_of_comp(Composition(tuple(mu))).bitmask()
+    inside = (poly for mask, poly in basis_mod.ascent_table(n) if not mask & ~allowed)
+    return _q_slice(inside, k, l)
 
 
 def hook_h_coefficient(n, k, l, d):
@@ -325,26 +338,25 @@ def _hook_schur_table(n):
     """Bucket q-polynomials by (k, l, d) over elements whose ascent set is
     the full terminal interval {d+1,...,n-1}."""
     table = {}
-    for b in basis_mod.enumerate_basis(n, "a12"):
-        asc = basis_mod.ascent_positions(b.alpha, b.theta, b.xi)
-        d = n - 1 - len(asc)
-        if asc != tuple(range(d + 1, n)):
+    for mask, poly in basis_mod.ascent_table(n):
+        d = n - 1 - bin(mask).count("1")
+        if mask != (1 << (n - 1)) - (1 << d):
             continue
-        key = (b.deg_theta, b.deg_xi, d)
-        table[key] = table.get(key, ZERO) + q_power(b.deg_x)
+        for k, l in {key[1:] for key in poly.terms}:
+            table[(k, l, d)] = _q_slice([poly], k, l)
     return table
 
 
 def hook_schur_coefficient(n, k, l, d):
-    """Schur coefficient of the hook (d+1, 1^(n-d-1)) in the (k,l) piece,
-    by enumeration: ascent set exactly {d+1,...,n-1}."""
+    """Schur coefficient of the hook (d+1, 1^(n-d-1)) in the (k,l) piece:
+    the elements with ascent set exactly {d+1,...,n-1}."""
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
     return _hook_schur_table(n).get((k, l, d), ZERO)
 
 
-def _choose2(a):
-    # algebraic binomial: nonnegative on every integer, e.g. _choose2(-1) == 1
+def choose2(a):
+    """The binomial a(a-1)/2, nonnegative on every integer: choose2(-1) == 1."""
     return a * (a - 1) // 2
 
 
@@ -355,7 +367,7 @@ def hook_qbinomial_formula(n, k, l, d):
     if k + l >= n:
         raise ValueError("needs k + l < n")
     return (
-        q_power(_choose2(n - d - k - l))
+        q_power(choose2(n - d - k - l))
         * q_binomial(n - 1 - d, l)
         * q_binomial(n - 1 - k, d)
         * q_binomial(n - 1 - l, k)
@@ -364,7 +376,7 @@ def hook_qbinomial_formula(n, k, l, d):
 
 def sign_character_formula(n, k, l):
     """The d = 0 (column shape) case in its two-q-binomial form."""
-    return q_power(_choose2(n - k - l)) * q_binomial(n - 1, k + l) * q_binomial(k + l, k)
+    return q_power(choose2(n - k - l)) * q_binomial(n - 1, k + l) * q_binomial(k + l, k)
 
 
 def hook_asc_characterization(element, d):

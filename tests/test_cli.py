@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from coinv.cli import main
+from coinv.cli import EXIT_CLOSED_PIPE, main
 
 from golden import BIJECTION_TABLES
 
@@ -125,3 +129,37 @@ def test_oracle_long_guard(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "4", "--variant", "a12")
     assert code == 2
     assert "--long" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobenius", "--n", "3", "--k", "5"),
+    ("frobenius", "--n", "3", "--l", "-1"),
+    ("frobenius", "--n", "3", "--k", "1", "--l", "2"),
+    ("hmu", "--n", "3", "--mu", "2,1", "--k", "7"),
+    ("hook", "--n", "3", "--k", "3"),
+])
+def test_out_of_range_k_l_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "k + l < n=3" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader closes its end before anything is written, as `| head`
+    # does once it has its lines; the write then fails with EPIPE.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coinv.cli", "verify", "--n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == 128 + signal.SIGPIPE == EXIT_CLOSED_PIPE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

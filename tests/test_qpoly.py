@@ -1,3 +1,5 @@
+import pytest
+
 from coinv.qpoly import (
     ONE,
     ZERO,
@@ -113,3 +115,19 @@ def test_immutability_and_hash():
         raised = True
     assert raised
     assert hash(poly_q(1, 1)) == hash(q_integer(2))
+
+
+def test_constructor_rejects_negative_exponents():
+    for key in ((-1, 0, 0), (0, -2, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            QuvPolynomial({key: 1})
+
+
+def test_arithmetic_results_are_clean():
+    a = QuvPolynomial({(1, 0, 0): 2, (0, 1, 0): -1, (0, 0, 0): 3})
+    b = QuvPolynomial({(1, 0, 0): -2, (0, 0, 1): 5})
+    for result in (a + b, a - b, -a, a * b, (a - a) * b, a.substitute(q=1), a.substitute(u=0)):
+        assert all(coeff != 0 for coeff in result.terms.values())
+        assert all(min(key) >= 0 and len(key) == 3 for key in result.terms)
+        assert result == QuvPolynomial(result.terms)
+    assert (a + b).terms == {(0, 1, 0): -1, (0, 0, 0): 3, (0, 0, 1): 5}
