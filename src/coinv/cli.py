@@ -2,8 +2,8 @@
 
 Subcommands: basis, hilbert, frobenius, bijection, hook, hmu, verify,
 oracle.  All computation is deterministic, so output is byte-stable for a
-fixed invocation regardless of --jobs.  Exit codes: 0 success, 1
-verification failure, 2 invalid input, 141 stdout closed by its reader.
+fixed invocation regardless of the oracle's --jobs.  Exit codes: 0 success,
+1 verification failure, 2 invalid input, 141 stdout closed by its reader.
 """
 
 import argparse
@@ -20,6 +20,11 @@ from .combinat import Partition
 # 128 + SIGPIPE: the status of a process that a closed pipe ended
 EXIT_CLOSED_PIPE = 141
 
+# Largest basis that `basis` and `bijection` list element by element.  At
+# about 200 bytes an element, a12 n=8 (5,160,960 elements) takes about 1 GB
+# and runs; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
+MAX_ENUMERATED = 10_000_000
+
 
 def _fail(message):
     print(message, file=sys.stderr)
@@ -32,6 +37,22 @@ def _check_kl(args):
     l = args.l or 0
     if k < 0 or l < 0 or k + l >= args.n:
         raise ValueError("--k and --l need 0 <= k, 0 <= l and k + l < n=%d" % args.n)
+
+
+def _check_enumerable(n, variant):
+    """Refuse a basis too large to list, before any of it is built.
+
+    Every basis grows with n, so the counts are taken for n = 1, 2, ... and
+    the first one over the cap refuses every larger n without computing its
+    series, which at n = 30 alone takes seconds and hundreds of MB.
+    """
+    for m in range(1, n + 1):
+        count = basis.count_basis(m, variant)
+        if count > MAX_ENUMERATED:
+            raise ValueError(
+                "the %s basis for n=%d has %d elements%s, over the listing cap of %d"
+                % (variant, m, count, "" if m == n else " (and it grows with n)", MAX_ENUMERATED)
+            )
 
 
 def _print_rows(rows, header, fmt):
@@ -53,6 +74,7 @@ def _print_rows(rows, header, fmt):
 
 
 def cmd_basis(args):
+    _check_enumerable(args.n, args.variant)
     elements = basis.enumerate_basis(args.n, args.variant)
     if args.format == "json":
         print(json.dumps([b.to_json() for b in elements], indent=2))
@@ -144,6 +166,7 @@ def _splits_mask(splits):
 
 
 def cmd_bijection(args):
+    _check_enumerable(args.n, "a12")
     rows = bijection_rows(args.n)
     _print_rows(rows, ("sigma", "basis_element", "k", "l", "sminv", "split"), args.format)
     return 0
@@ -193,11 +216,12 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
-    kind = "a" if args.variant in ("a12", "a11", "a02") else "b"
-    if kind == "a" and args.n >= 4 and not args.long:
-        return _fail("the n >= 4 type A oracle run is long; pass --long to enable it")
-    if kind == "b" and args.n >= 3 and not args.long:
-        return _fail("the n >= 3 type B oracle run is long; pass --long to enable it")
+    kind = args.variant[0]
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        return _fail("--jobs must be between 1 and the %d CPUs of this machine" % cpus)
+    if args.n >= 4 and not args.long:
+        return _fail("the n >= 4 oracle run is long; pass --long to enable it")
     poly, complete, report = oracle.hilbert_via_oracle(
         args.n, kind, max_x_degree=args.max_x_degree, jobs=args.jobs
     )
@@ -225,41 +249,40 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="coinv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, variant=True):
+    def common(p, variants=None):
         p.add_argument("--n", type=int, required=True)
-        if variant:
-            p.add_argument("--variant", choices=basis.VARIANTS, default="a12")
+        if variants:
+            p.add_argument("--variant", choices=variants, default="a12")
         p.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("basis", help="list the basis elements")
-    common(p)
+    common(p, basis.VARIANTS)
     p.set_defaults(run=cmd_basis)
 
     p = sub.add_parser("hilbert", help="the trigraded Hilbert series")
-    common(p)
+    common(p, basis.VARIANTS)
     p.set_defaults(run=cmd_hilbert)
 
     p = sub.add_parser("frobenius", help="the conjectural Frobenius series")
-    common(p, variant=False)
+    common(p)
     p.add_argument("--form", choices=("qsym", "schur"), default="schur")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.set_defaults(run=cmd_frobenius)
 
     p = sub.add_parser("bijection", help="the basis <-> segmented permutation table")
-    common(p, variant=False)
+    common(p)
     p.set_defaults(run=cmd_bijection)
 
     p = sub.add_parser("hook", help="hook Schur coefficients, both routes")
-    common(p, variant=False)
+    common(p)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.set_defaults(run=cmd_hook)
 
     p = sub.add_parser("hmu", help="h_mu coefficients of the Frobenius series")
-    common(p, variant=False)
+    common(p)
     p.add_argument("--mu", required=True, help='partition of n, e.g. "2,1"')
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
@@ -267,13 +290,13 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the exhaustive cross-check suite")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("oracle", help="quotient dimensions by exact linear algebra")
-    common(p)
+    common(p, ("a12", "b12"))
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--max-x-degree", type=int, default=None)
-    p.add_argument("--long", action="store_true", help="allow the long n=4 type A run")
+    p.add_argument("--long", action="store_true", help="allow the long runs at n >= 4")
     p.set_defaults(run=cmd_oracle)
 
     return parser

@@ -5,11 +5,19 @@ variables: symmetrize every monomial of a multidegree to span the
 invariants, span the ideal piece by invariant-times-monomial products, and
 read off the quotient dimension from an exact integer rank.  Everything is
 deterministic: fixed monomial order, fixed pivot rule, no floats.
+
+The hot paths are exact shortcuts of the plain definitions, which stay as
+the references the tests compare them with: invariants symmetrize one
+monomial per orbit through a precomputed action table (`reynolds`,
+`group_action`), and monomial products read their fermionic signs from a
+memo.
 """
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 from math import gcd
+from operator import add
 
 from .qpoly import QuvPolynomial
 
@@ -43,7 +51,7 @@ class SuperMonomial(tuple):
 
 
 def _popcount(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def _mask_bits(mask):
@@ -141,22 +149,79 @@ def group_action(g, mono, signed=False):
     return sign * s1 * s2, SuperMonomial(new_x, tm, xm)
 
 
+@lru_cache(maxsize=None)
+def _action_table(n, group_kind):
+    """The group of one kind as (inverse perm, negated slots, mask images).
+
+    One entry per group element, in the order of `symmetric_group` or
+    `hyperoctahedral_group`; mask_images[mask] is `_permute_mask(mask, perm)`,
+    so the fermionic part of the action becomes two lookups.
+    """
+    if group_kind == "a":
+        elements = [(perm, 0) for perm in symmetric_group(n)]
+    elif group_kind == "b":
+        elements = hyperoctahedral_group(n)
+    else:
+        raise ValueError("group_kind must be 'a' or 'b'")
+    mask_images = {}
+    table = []
+    for perm, flags in elements:
+        if perm not in mask_images:
+            mask_images[perm] = tuple(_permute_mask(mask, perm) for mask in range(1 << n))
+        inverse = [0] * n
+        for i, p in enumerate(perm):
+            inverse[p] = i
+        table.append((tuple(inverse), tuple(_mask_bits(flags)), flags, mask_images[perm]))
+    return tuple(table)
+
+
+def _table_images(mono, table):
+    """Yield group_action(g, mono) as (sign, image) for every g of the table.
+
+    Images are plain (xexp, tmask, xmask) tuples, equal to the
+    SuperMonomials that `group_action` returns.
+    """
+    xexp, tmask, xmask = mono
+    for inverse, negated, flags, mask_images in table:
+        s1, tm = mask_images[tmask]
+        s2, xm = mask_images[xmask]
+        sign = s1 * s2
+        if flags:
+            parity = (flags & tmask).bit_count() + (flags & xmask).bit_count()
+            for i in negated:
+                parity += xexp[i]
+            if parity & 1:
+                sign = -sign
+        yield sign, (tuple([xexp[i] for i in inverse]), tm, xm)
+
+
+# Reordering sign of a product, keyed by the masks (tmask1, xmask1, tmask2,
+# xmask2) of its factors.  A pure function of its key, filled on first use.
+_PRODUCT_SIGNS = {}
+
+
 def multiply_monomials(m1, m2):
     """Product in the superalgebra: None if a fermionic factor repeats.
 
     Thetas of m2 cross the xis of m1 (one sign per crossing pair), then
-    each fermionic family merges with its own sorting sign.
+    each fermionic family merges with its own sorting sign: one per pair
+    of a factor of m2 below a factor of m1.
     """
-    if m1.tmask & m2.tmask or m1.xmask & m2.xmask:
+    x1, t1, f1 = m1
+    x2, t2, f2 = m2
+    if t1 & t2 or f1 & f2:
         return None
-    xexp = tuple(a + b for a, b in zip(m1.xexp, m2.xexp))
-    sign = -1 if (_popcount(m2.tmask) * _popcount(m1.xmask)) % 2 else 1
-    for mine, other in ((m1.tmask, m2.tmask), (m1.xmask, m2.xmask)):
-        for b in _mask_bits(other):
-            higher = mine >> (b + 1)
-            if _popcount(higher) % 2:
-                sign = -sign
-    return sign, SuperMonomial(xexp, m1.tmask | m2.tmask, m1.xmask | m2.xmask)
+    key = (t1, f1, t2, f2)
+    sign = _PRODUCT_SIGNS.get(key)
+    if sign is None:
+        parity = t2.bit_count() * f1.bit_count()
+        for mine, other in ((t1, t2), (f1, f2)):
+            while other:
+                low = other & -other
+                parity += (mine >> low.bit_length()).bit_count()
+                other ^= low
+        sign = _PRODUCT_SIGNS[key] = -1 if parity & 1 else 1
+    return sign, tuple.__new__(SuperMonomial, (tuple(map(add, x1, x2)), t1 | t2, f1 | f2))
 
 
 def reynolds(mono, n, group_kind):
@@ -195,7 +260,9 @@ class _Echelon:
 
     Rows are sparse dicts over column indices.  Each incoming row is
     reduced fraction-free against stored pivot rows (pivot = smallest
-    column index); surviving rows are gcd-normalized and kept.
+    column index); surviving rows are gcd-normalized and kept.  The
+    reduction works on one copy of the row, in place, and a heap of its
+    columns yields the next leading column.
     """
 
     def __init__(self):
@@ -208,33 +275,43 @@ class _Echelon:
     def insert(self, row):
         """Reduce a row; store it if independent.  Returns True if rank grew."""
         row = {c: v for c, v in row.items() if v}
-        while row:
-            lead = min(row)
-            pivot = self.pivots.get(lead)
+        get = row.get
+        pivots = self.pivots
+        # Every column of the row has an entry in the heap; entries of
+        # columns that cancelled since they were pushed are skipped.
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)
+            b = get(lead)
+            if b is None:
+                continue
+            pivot = pivots.get(lead)
             if pivot is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
+                g = gcd(*row.values())
+                if b < 0:
+                    g = -g
+                if g != 1:
                     row = {c: v // g for c, v in row.items()}
-                if row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self.pivots[lead] = row
+                pivots[lead] = row
                 return True
             a = pivot[lead]
-            b = row[lead]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = {}
-            for c, v in row.items():
-                new[c] = v * ma
+            if ma != 1:
+                for c in row:
+                    row[c] *= ma
             for c, v in pivot.items():
-                w = new.get(c, 0) - v * mb
-                if w:
-                    new[c] = w
+                w = get(c)
+                if w is None:
+                    row[c] = -v * mb
+                    heappush(heap, c)
                 else:
-                    new.pop(c, None)
-            row = new
+                    w -= v * mb
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
         return False
 
 
@@ -255,18 +332,35 @@ def rank_of_rows(rows, ncols=None):
 def invariant_subspace(n, group_kind, degree):
     """Independent spanning vectors of the invariants in one multidegree.
 
-    Symmetrizes every monomial of the degree and reduces the results to an
-    echelon basis.  Vectors are sparse dicts over the canonical monomial
-    index of the degree.
+    Reduces the Reynolds image of every monomial of the degree, in order,
+    to an echelon basis.  Only the first monomial of each orbit is
+    symmetrized: if g.m = e.m' with e = +-1, then R(m') = e.R(m).  Vectors
+    are sparse dicts over the canonical monomial index of the degree.
     """
     basis = monomial_basis(n, degree)
     index = {m: i for i, m in enumerate(basis)}
+    table = _action_table(n, group_kind)
     ech = _Echelon()
-    for mono in basis:
-        vec = reynolds(mono, n, group_kind)
-        if not vec:
+    known = {}  # later orbit member -> (e, R(first member))
+    for i, mono in enumerate(basis):
+        if i in known:
+            sign, row = known.pop(i)
+            if sign < 0:
+                row = {c: -v for c, v in row.items()}
+        else:
+            sums = {}
+            signs = {}
+            for sign, image in _table_images(mono, table):
+                j = index[image]
+                sums[j] = sums.get(j, 0) + sign
+                signs.setdefault(j, sign)
+            row = {j: c for j, c in sums.items() if c}
+            del signs[i]
+            for j, sign in signs.items():
+                known[j] = (sign, row)
+        if not row:
             continue
-        ech.insert({index[m]: c for m, c in vec.items()})
+        ech.insert(row)
         if ech.rank == len(basis):
             break
     return tuple(dict(row) for _, row in sorted(ech.pivots.items()))
@@ -318,10 +412,11 @@ def _ideal_rank(n, group_kind, degree):
         inv_basis = monomial_basis(n, E)
         complement = monomial_basis(n, (r - er, s - es, t - et))
         for vec in invariants:
+            factors = [(inv_basis[col], coeff) for col, coeff in vec.items()]
             for mono in complement:
                 row = {}
-                for col, coeff in vec.items():
-                    result = multiply_monomials(inv_basis[col], mono)
+                for factor, coeff in factors:
+                    result = multiply_monomials(factor, mono)
                     if result is None:
                         continue
                     sign, prod_mono = result

@@ -6,8 +6,11 @@ import signal
 import subprocess
 import sys
 
+import concurrent.futures
+
 import pytest
 
+from coinv import basis, cli, oracle
 from coinv.cli import EXIT_CLOSED_PIPE, main
 
 from golden import BIJECTION_TABLES
@@ -129,6 +132,70 @@ def test_oracle_long_guard(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "4", "--variant", "a12")
     assert code == 2
     assert "--long" in err
+
+
+def test_oracle_type_b_n3_needs_no_long(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--variant", "b12")
+    assert code == 0
+    assert "complete: True" in out
+    code, _, err = run_cli(capsys, "oracle", "--n", "4", "--variant", "b12")
+    assert code == 2
+    assert "--long" in err
+
+
+@pytest.mark.parametrize("variant", ["a11", "a02", "b11"])
+def test_oracle_rejects_sub_variants(capsys, variant):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--n", "2", "--variant", variant])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "3", "1000000"])
+def test_oracle_jobs_out_of_range_exits_2_before_any_work(capsys, monkeypatch, jobs):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr(oracle, "hilbert_via_oracle", no_work)
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be between 1 and the 2 CPUs" in err
+
+
+@pytest.mark.parametrize("command", ["basis", "hilbert", "frobenius", "bijection", "hook", "hmu", "verify"])
+def test_jobs_is_only_an_oracle_option(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--jobs", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("basis", "--n", "9"), 92897280),
+    (("basis", "--n", "9", "--variant", "a12", "--format", "json"), 92897280),
+    (("basis", "--n", "7", "--variant", "b12"), 82575360),
+    (("bijection", "--n", "9"), 92897280),
+    (("basis", "--n", "40", "--variant", "b11"), 197613377),
+])
+def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv, count):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(basis, "enumerate_basis", no_enumeration)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "has %d elements" % count in err
+    assert "over the listing cap of %d" % cli.MAX_ENUMERATED in err
+
+
+def test_listing_cap_admits_a12_n8():
+    assert basis.count_basis(8, "a12") <= cli.MAX_ENUMERATED < basis.count_basis(7, "b12")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,18 +1,95 @@
+import random
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
 import pytest
 
-from coinv import basis
+from coinv import basis, oracle
 from coinv.oracle import (
     SuperMonomial,
+    default_max_x_degree,
     group_action,
     hilbert_via_oracle,
+    hyperoctahedral_group,
     invariant_subspace,
     monomial_basis,
     multiply_monomials,
     quotient_dimension,
     rank_of_rows,
     reynolds,
+    symmetric_group,
 )
 from coinv.qpoly import QuvPolynomial
+
+
+def all_degrees(n, kind):
+    """Every multidegree in the oracle's default x-degree window."""
+    return list(product(range(default_max_x_degree(n, kind) + 1), range(n + 1), range(n + 1)))
+
+
+def bit_loop_product(m1, m2):
+    """multiply_monomials by its definition: one sign flip per crossing pair."""
+    if m1.tmask & m2.tmask or m1.xmask & m2.xmask:
+        return None
+    xexp = tuple(a + b for a, b in zip(m1.xexp, m2.xexp))
+    sign = -1 if (bin(m2.tmask).count("1") * bin(m1.xmask).count("1")) % 2 else 1
+    for mine, other in ((m1.tmask, m2.tmask), (m1.xmask, m2.xmask)):
+        for b in range(other.bit_length()):
+            if other >> b & 1 and bin(mine >> (b + 1)).count("1") % 2:
+                sign = -sign
+    return sign, SuperMonomial(xexp, m1.tmask | m2.tmask, m1.xmask | m2.xmask)
+
+
+class RebuildingEchelon:
+    """Fraction-free elimination that rebuilds the row at every step,
+    choosing each leading column with min()."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, row):
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                row = {c: v // g for c, v in row.items()}
+                if row[lead] < 0:
+                    row = {c: -v for c, v in row.items()}
+                self.pivots[lead] = row
+                return True
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            new = {c: v * (a // g) for c, v in row.items()}
+            for c, v in pivot.items():
+                w = new.get(c, 0) - v * (b // g)
+                if w:
+                    new[c] = w
+                else:
+                    new.pop(c, None)
+            row = new
+        return False
+
+
+def fraction_rank(rows, ncols):
+    """Rank by Gaussian elimination over the rationals on dense rows."""
+    matrix = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pick = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pick is None:
+            continue
+        matrix[rank], matrix[pick] = matrix[pick], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            factor = matrix[i][col] / matrix[rank][col]
+            if factor:
+                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
 
 
 def test_monomial_basis_counts():
@@ -53,6 +130,96 @@ def test_multiply_monomials():
     t = SuperMonomial((0, 0), 0b10, 0)
     sign, prod = multiply_monomials(x, t)
     assert sign == -1 and prod == SuperMonomial((0, 0), 0b10, 0b01)
+
+
+def test_multiply_monomials_matches_bit_loop_on_all_mask_pairs():
+    for n in range(1, 5):
+        x1 = tuple(range(n))
+        x2 = tuple(range(n, 0, -1))
+        for t1, f1, t2, f2 in product(range(1 << n), repeat=4):
+            m1 = SuperMonomial(x1, t1, f1)
+            m2 = SuperMonomial(x2, t2, f2)
+            expected = bit_loop_product(m1, m2)
+            # the second call reads the memoized sign
+            assert multiply_monomials(m1, m2) == expected
+            assert multiply_monomials(m1, m2) == expected
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_action_table_matches_group_action(kind):
+    for n in (1, 2, 3):
+        group = symmetric_group(n) if kind == "a" else hyperoctahedral_group(n)
+        table = oracle._action_table(n, kind)
+        assert len(table) == len(group)
+        for r, s, t in product(range(4), range(n + 1), range(n + 1)):
+            for mono in monomial_basis(n, (r, s, t)):
+                expected = [group_action(g, mono, signed=kind == "b") for g in group]
+                assert list(oracle._table_images(mono, table)) == expected
+
+
+@pytest.mark.parametrize("kind,n", [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2)])
+def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypatch):
+    """Same rows, in the same order, and the same echelon basis as
+    symmetrizing every monomial with reynolds."""
+    inserted = []
+    real_insert = oracle._Echelon.insert
+
+    def recording_insert(self, row):
+        inserted.append(dict(row))
+        return real_insert(self, row)
+
+    monkeypatch.setattr(oracle._Echelon, "insert", recording_insert)
+    for degree in all_degrees(n, kind):
+        ambient = monomial_basis(n, degree)
+        index = {m: i for i, m in enumerate(ambient)}
+        rows = []
+        for mono in ambient:
+            vec = reynolds(mono, n, kind)
+            if vec:
+                rows.append({index[m]: c for m, c in vec.items()})
+        reference = RebuildingEchelon()
+        for row in rows:
+            reference.insert(row)
+        expected = tuple(row for _, row in sorted(reference.pivots.items()))
+        del inserted[:]
+        invariant_subspace.cache_clear()
+        assert invariant_subspace(n, kind, degree) == expected, degree
+        # it stops at full rank, after which every row is dependent
+        assert inserted == rows[:len(inserted)], degree
+        assert len(inserted) == len(rows) or len(expected) == len(ambient), degree
+
+
+def test_rank_of_rows_matches_fraction_elimination():
+    rng = random.Random(2024)
+    for _ in range(300):
+        nrows = rng.randint(0, 12)
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(nrows):
+            cols = rng.sample(range(ncols), rng.randint(0, min(ncols, 4)))
+            rows.append({c: rng.choice([-1, 1]) * rng.randint(1, 6) for c in cols})
+        # repeat combinations of earlier rows, so that some reduce to zero
+        for _ in range(rng.randint(0, 3)):
+            if len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                ka, kb = rng.randint(-3, 3), rng.randint(-3, 3)
+                combo = {c: ka * a.get(c, 0) + kb * b.get(c, 0) for c in set(a) | set(b)}
+                rows.insert(rng.randint(0, len(rows)), combo)
+        copies = [dict(row) for row in rows]
+        assert rank_of_rows(rows) == fraction_rank(rows, ncols)
+        assert rows == copies  # the caller's rows are not modified
+
+
+def test_echelon_stores_the_rebuilding_pivot_rows():
+    rng = random.Random(7)
+    for _ in range(100):
+        rows = [{c: rng.randint(-5, 5) for c in rng.sample(range(10), rng.randint(1, 6))}
+                for _ in range(rng.randint(1, 15))]
+        fast, reference = oracle._Echelon(), RebuildingEchelon()
+        for row in rows:
+            assert fast.insert(row) == reference.insert(row)
+        assert fast.pivots == reference.pivots
+        assert list(fast.pivots) == list(reference.pivots)
 
 
 def test_reynolds_and_invariants():
@@ -103,6 +270,12 @@ def test_oracle_matches_conjecture_small():
     assert complete
     assert poly == basis.hilbert_series(1, "b12")
     assert poly == QuvPolynomial({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+
+
+def test_type_b_n3_oracle_matches_conjecture():
+    poly, complete, _ = hilbert_via_oracle(3, "b")
+    assert complete
+    assert poly == basis.hilbert_series(3, "b12")
 
 
 def test_oracle_jobs_deterministic():
