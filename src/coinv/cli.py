@@ -137,32 +137,15 @@ def cmd_frobenius(args):
 def bijection_rows(n):
     """The conversion table, grouped by bar pattern (bitmask order) and
     ordered by the underlying permutation within each group."""
-    rows = []
-    for b in basis.enumerate_basis(n, "a12"):
-        word = smirnov.psi(b)
-        k, l = smirnov.ascent_descent_counts(word)
-        split = smirnov.split_positions(word)
-        rows.append(
-            (
-                smirnov.format_word(word),
-                b.monomial_str(),
-                k,
-                l,
-                smirnov.sminv(word),
-                "{%s}" % ",".join(str(s) for s in split),
-                _splits_mask(word.splits),
-                word.letters,
-            )
-        )
-    rows.sort(key=lambda r: (r[6], r[7]))
-    return [r[:6] for r in rows]
-
-
-def _splits_mask(splits):
-    mask = 0
-    for s in splits:
-        mask |= 1 << (s - 1)
-    return mask
+    rows = sorted(smirnov.psi_table(n))
+    split_labels = {}  # split tuple -> "{...}", one entry per subset of 1..n-1
+    # Rows replace their entries in place, so each entry is freed as it goes.
+    for at, (_, _, sigma, monomial, k, l, inv, split) in enumerate(rows):
+        label = split_labels.get(split)
+        if label is None:
+            label = split_labels[split] = "{%s}" % ",".join(map(str, split))
+        rows[at] = (sigma, monomial, k, l, inv, label)
+    return rows
 
 
 def cmd_bijection(args):

@@ -81,15 +81,18 @@ def parse_word(text):
 
 def ascent_descent_counts(word):
     """(k, l): numbers of within-block rises and falls."""
-    bars = set(word.splits)
+    return _rise_fall_counts(word.letters, _initial_flags(word))
+
+
+def _rise_fall_counts(w, initial):
+    """(k, l) of the letters w, with initial[p] true where a block starts."""
     k = l = 0
-    w = word.letters
-    for i in range(len(w) - 1):
-        if i + 1 in bars:
+    for p in range(1, len(w)):
+        if initial[p]:
             continue
-        if w[i] < w[i + 1]:
+        if w[p - 1] < w[p]:
             k += 1
-        elif w[i] > w[i + 1]:
+        elif w[p - 1] > w[p]:
             l += 1
     return k, l
 
@@ -97,6 +100,11 @@ def ascent_descent_counts(word):
 def _initial_flags(word):
     bars = set(word.splits)
     return [p == 0 or p in bars for p in range(len(word.letters))]
+
+
+def _thick_flags(w, initial):
+    """Per-position booleans: block-initial, or the lower end of a fall."""
+    return [initial[p] or w[p - 1] > w[p] for p in range(len(w))]
 
 
 def sminv(word):
@@ -107,39 +115,38 @@ def sminv(word):
     its block, or (4) i != j-1 and w_{j-2} > w_{j-1} = w_i.  On
     permutations only the first two can fire.
     """
-    w = word.letters
-    n = len(w)
-    initial = _initial_flags(word)
+    return _sminv_count(word.letters, _initial_flags(word))
+
+
+def _sminv_count(w, initial):
+    """sminv of the letters w, with initial[p] true where a block starts.
+
+    Outside rule (1), a pair can count only below a fall w_{j-1} > w_j:
+    rule (2) takes the w_i strictly between them, and rules (3) and (4)
+    the earlier copies of w_{j-1} when w_{j-1} is thick.
+    """
     count = 0
-    for j in range(1, n):
-        for i in range(j):
-            if w[i] <= w[j]:
-                continue
-            if initial[j]:
+    for j in range(1, len(w)):
+        low = w[j]
+        if initial[j]:
+            count += sum(map(low.__lt__, w[:j]))
+            continue
+        high = w[j - 1]
+        if high <= low:
+            continue
+        thick = initial[j - 1] or (j >= 2 and w[j - 2] > high)
+        for a in w[: j - 1]:
+            if low < a < high or (thick and a == high):
                 count += 1
-            elif w[j - 1] > w[i]:
-                count += 1
-            elif i != j - 1 and w[j - 1] == w[i]:
-                if initial[j - 1]:
-                    count += 1
-                elif j >= 2 and w[j - 2] > w[j - 1]:
-                    count += 1
     return count
 
 
 def thick_thin(word):
     """Per-position flags: "thick" (block-initial or fall end) or "thin"."""
-    w = word.letters
-    initial = _initial_flags(word)
-    out = []
-    for p in range(len(w)):
-        if initial[p]:
-            out.append("thick")
-        elif w[p - 1] > w[p]:
-            out.append("thick")
-        else:
-            out.append("thin")
-    return tuple(out)
+    return tuple(
+        "thick" if t else "thin"
+        for t in _thick_flags(word.letters, _initial_flags(word))
+    )
 
 
 def split_positions(word):
@@ -149,23 +156,21 @@ def split_positions(word):
     i thick and j thin; or both thin with i < j; or both thick with j < i.
     """
     w = word.letters
-    n = len(w)
-    if sorted(w) != list(range(1, n + 1)):
+    if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError("splitting values are defined for segmented permutations")
-    kind = thick_thin(word)
-    pos = [0] * (n + 2)
+    return _split_values(w, _thick_flags(w, _initial_flags(word)))
+
+
+def _split_values(w, thick):
+    """split_positions of the permutation w, given its thick flags."""
+    at = [0] * len(w)  # at[m - 1]: the position of m
     for p, letter in enumerate(w):
-        pos[letter] = p
+        at[letter - 1] = p
     out = []
-    for m in range(1, n):
-        i = pos[m]
-        j = pos[m + 1]
-        ti, tj = kind[i], kind[j]
-        if ti == "thick" and tj == "thin":
-            out.append(m)
-        elif ti == tj == "thin" and i < j:
-            out.append(m)
-        elif ti == tj == "thick" and j < i:
+    for m in range(1, len(w)):
+        i, j = at[m - 1], at[m]
+        ti, tj = thick[i], thick[j]
+        if ti > tj or (ti == tj and (j < i) == ti):
             out.append(m)
     return tuple(out)
 
@@ -356,3 +361,85 @@ def psi_inverse(word):
     if blocks != [[1]]:
         raise ValueError("word did not reduce to the single letter 1")
     return BasisElement(tuple(alpha), tuple(theta), tuple(xi), "a12")
+
+
+def psi_walk(n):
+    """Every a12 element of size n with its image under psi, from one walk.
+
+    A depth-first walk over psi's insertion tree: a node holds the blocks
+    after letters 1..i-1, and its children insert i once for each step and
+    each alpha_i in 0..h_i-1, h_i the block count after the step.  An up
+    step opens a new block, a theta step appends i to a block, a xi step
+    prepends it, and a down step merges two neighbouring blocks around it
+    (so needs at least two).  Each node carries the element's monomial
+    factors and each block's formatted string, so a leaf costs one join
+    instead of n insertions and a reformat.
+
+    Yields one (monomial, blocks, labels) triple per element, in no
+    particular order: monomial is the element's monomial_str(), blocks
+    are those of psi(element) as tuples of letters, and labels are the
+    blocks as format_word writes them.
+    """
+    if n < 1:
+        raise ValueError("psi_walk needs n >= 1")
+    # Factors are kept with a leading "*" so that joining is concatenation.
+    stack = [(1, ((1,),), ("1",), "", "")]
+    while stack:
+        size, blocks, labels, xs, fs = stack.pop()
+        if size == n:
+            yield (xs + fs)[1:] or "1", blocks, labels
+            continue
+        i = size + 1
+        s = str(i)
+        x_factor = ["", "*x" + s] + ["*x%d^%d" % (i, a) for a in range(2, i)]
+        up_fs, th_fs, xi_fs, down_fs = fs, fs + "*th" + s, fs + "*xi" + s, fs + "*th%s*xi%s" % (s, s)
+        h = len(blocks)
+        for a in range(h + 1):
+            at = h - a
+            stack.append((i, blocks[:at] + ((i,),) + blocks[at:],
+                          labels[:at] + (s,) + labels[at:], xs + x_factor[a], up_fs))
+        for a in range(h):
+            at = h - 1 - a
+            before, after = blocks[:at], blocks[at + 1:]
+            lbefore, lafter = labels[:at], labels[at + 1:]
+            blk, lab, child_xs = blocks[at], labels[at], xs + x_factor[a]
+            stack.append((i, before + (blk + (i,),) + after,
+                          lbefore + (lab + " " + s,) + lafter, child_xs, th_fs))
+            stack.append((i, before + ((i,) + blk,) + after,
+                          lbefore + (s + " " + lab,) + lafter, child_xs, xi_fs))
+        for a in range(h - 1):
+            at = h - 2 - a
+            stack.append((i, blocks[:at] + (blocks[at] + (i,) + blocks[at + 1],) + blocks[at + 2:],
+                          labels[:at] + (labels[at] + " " + s + " " + labels[at + 1],) + labels[at + 2:],
+                          xs + x_factor[a], down_fs))
+
+
+def psi_table(n):
+    """The bijection table of size n, one entry per a12 element, unsorted.
+
+    Each entry is (bar mask, letters, sigma, monomial, k, l, sminv, split)
+    for sigma = psi(element): the mask has bit s-1 set for a bar after
+    position s, and k, l, sminv and the splitting values are computed from
+    sigma's letters by the same kernels as the per-word functions above.
+    """
+    for monomial, blocks, labels in psi_walk(n):
+        letters = []
+        initial = []
+        mask = 0
+        for blk in blocks:
+            if letters:
+                mask |= 1 << (len(letters) - 1)
+            initial.append(True)
+            initial.extend([False] * (len(blk) - 1))
+            letters.extend(blk)
+        k, l = _rise_fall_counts(letters, initial)
+        yield (
+            mask,
+            tuple(letters),
+            "|".join(labels),
+            monomial,
+            k,
+            l,
+            _sminv_count(letters, initial),
+            _split_values(letters, _thick_flags(letters, initial)),
+        )

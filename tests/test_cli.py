@@ -10,7 +10,8 @@ import concurrent.futures
 
 import pytest
 
-from coinv import basis, cli, oracle
+from coinv import basis, cli, oracle, smirnov, verify
+from coinv.basis import BasisElement
 from coinv.cli import EXIT_CLOSED_PIPE, main
 
 from golden import BIJECTION_TABLES
@@ -57,6 +58,83 @@ def test_bijection_csv_matches_tables(capsys):
         assert header == ["sigma", "basis_element", "k", "l", "sminv", "split"]
         got = [(r[0], r[1], int(r[2]), int(r[3]), int(r[4]), r[5]) for r in reader]
         assert got == rows
+
+
+def reference_bijection_rows(n):
+    """The table built element by element: psi and every statistic per element."""
+    rows = []
+    for b in basis.enumerate_basis(n, "a12"):
+        word = smirnov.psi(b)
+        k, l = smirnov.ascent_descent_counts(word)
+        split = smirnov.split_positions(word)
+        mask = 0
+        for s in word.splits:
+            mask |= 1 << (s - 1)
+        rows.append(
+            (
+                smirnov.format_word(word),
+                b.monomial_str(),
+                k,
+                l,
+                smirnov.sminv(word),
+                "{%s}" % ",".join(str(s) for s in split),
+                mask,
+                word.letters,
+            )
+        )
+    rows.sort(key=lambda r: (r[6], r[7]))
+    return [r[:6] for r in rows]
+
+
+BIJECTION_HEADER = ("sigma", "basis_element", "k", "l", "sminv", "split")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bijection_matches_per_element_reference(capsys, n):
+    rows = reference_bijection_rows(n)
+    for fmt in ("csv", "json", "text"):
+        cli._print_rows(rows, BIJECTION_HEADER, fmt)
+        expected = capsys.readouterr().out
+        code, out, err = run_cli(capsys, "bijection", "--n", str(n), "--format", fmt)
+        assert code == 0 and err == ""
+        assert first_difference(out, expected) is None, (n, fmt)
+
+
+def first_difference(out, expected):
+    """None for equal texts, else the first differing line as (number, got, want).
+
+    Tables run to megabytes, which pytest would diff for minutes."""
+    if out == expected:
+        return None
+    got, want = out.splitlines(), expected.splitlines()
+    for number, pair in enumerate(zip(got, want)):
+        if pair[0] != pair[1]:
+            return (number,) + pair
+    return (min(len(got), len(want)), got[len(want):len(want) + 1], want[len(got):len(got) + 1])
+
+
+def test_bijection_never_enumerates(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table must not enumerate the basis or call psi")
+
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    monkeypatch.setattr(smirnov, "psi", refuse)
+    monkeypatch.setattr(BasisElement, "monomial_str", refuse)
+    code, out, err = run_cli(capsys, "bijection", "--n", "5", "--format", "csv")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 1920
+
+
+def test_verify_names_lowered_checks_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "5")
+    assert code == 0
+    # stdout is exactly the ok lines, whatever n each check ran at
+    assert out == "".join("ok   %s\n" % name for name, _ in verify.ALL_CHECKS)
+    assert err == (
+        "verify: oracle-type-a ran at n=3 (asked 5)\n"
+        "verify: oracle-type-b ran at n=2 (asked 5)\n"
+        "verify: oracle-exactness ran at n=2 (asked 5)\n"
+    )
 
 
 def test_bijection_byte_stable(capsys):
@@ -114,10 +192,11 @@ def test_invalid_flag_exits_2():
 
 
 def test_verify_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n", "2")
+    code, out, err = run_cli(capsys, "verify", "--n", "2")
     assert code == 0
     assert "FAIL" not in out
     assert "ok" in out
+    assert err == ""
 
 
 def test_oracle_cli(capsys):

@@ -1,3 +1,4 @@
+from itertools import accumulate
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from coinv.smirnov import (
     parse_word,
     psi,
     psi_inverse,
+    psi_walk,
     sminv,
     split_positions,
     sw_q,
@@ -163,3 +165,163 @@ def test_hilbert_equivalence():
                 shifted = QuvPolynomial({(a, b + k, c + l): co for (a, b, c), co in piece.terms.items()})
                 total = total + shifted
         assert total == hilbert_series(n, "a12")
+
+
+# -- the per-word statistics as they were written before the shared kernels ----
+
+
+def reference_initial_flags(word):
+    bars = set(word.splits)
+    return [p == 0 or p in bars for p in range(len(word.letters))]
+
+
+def reference_ascent_descent_counts(word):
+    bars = set(word.splits)
+    k = l = 0
+    w = word.letters
+    for i in range(len(w) - 1):
+        if i + 1 in bars:
+            continue
+        if w[i] < w[i + 1]:
+            k += 1
+        elif w[i] > w[i + 1]:
+            l += 1
+    return k, l
+
+
+def reference_sminv(word):
+    w = word.letters
+    n = len(w)
+    initial = reference_initial_flags(word)
+    count = 0
+    for j in range(1, n):
+        for i in range(j):
+            if w[i] <= w[j]:
+                continue
+            if initial[j]:
+                count += 1
+            elif w[j - 1] > w[i]:
+                count += 1
+            elif i != j - 1 and w[j - 1] == w[i]:
+                if initial[j - 1]:
+                    count += 1
+                elif j >= 2 and w[j - 2] > w[j - 1]:
+                    count += 1
+    return count
+
+
+def reference_thick_thin(word):
+    w = word.letters
+    initial = reference_initial_flags(word)
+    out = []
+    for p in range(len(w)):
+        if initial[p]:
+            out.append("thick")
+        elif w[p - 1] > w[p]:
+            out.append("thick")
+        else:
+            out.append("thin")
+    return tuple(out)
+
+
+def reference_split_positions(word):
+    w = word.letters
+    n = len(w)
+    kind = reference_thick_thin(word)
+    pos = [0] * (n + 2)
+    for p, letter in enumerate(w):
+        pos[letter] = p
+    out = []
+    for m in range(1, n):
+        i = pos[m]
+        j = pos[m + 1]
+        ti, tj = kind[i], kind[j]
+        if ti == "thick" and tj == "thin":
+            out.append(m)
+        elif ti == tj == "thin" and i < j:
+            out.append(m)
+        elif ti == tj == "thick" and j < i:
+            out.append(m)
+    return tuple(out)
+
+
+# Contents whose Smirnov words reach sminv rules (3) and (4).
+SMIRNOV_CONTENTS = [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (2, 1, 2, 1)]
+
+
+def test_kernels_match_reference_on_segmented_permutations():
+    for n in range(1, 7):
+        for word in enumerate_segmented_permutations(n):
+            assert sminv(word) == reference_sminv(word), word
+            assert split_positions(word) == reference_split_positions(word), word
+            assert thick_thin(word) == reference_thick_thin(word), word
+            assert ascent_descent_counts(word) == reference_ascent_descent_counts(word), word
+
+
+def rules_fired(word):
+    """The sminv rules that count some pair of the word (first rule wins)."""
+    w = word.letters
+    initial = reference_initial_flags(word)
+    out = set()
+    for j in range(1, len(w)):
+        for i in range(j):
+            if w[i] <= w[j]:
+                continue
+            if initial[j]:
+                out.add(1)
+            elif w[j - 1] > w[i]:
+                out.add(2)
+            elif i != j - 1 and w[j - 1] == w[i]:
+                if initial[j - 1]:
+                    out.add(3)
+                elif j >= 2 and w[j - 2] > w[j - 1]:
+                    out.add(4)
+    return out
+
+
+def test_kernels_match_reference_on_smirnov_words():
+    fired = set()
+    for content in SMIRNOV_CONTENTS:
+        for word in enumerate_segmented_words(content):
+            assert sminv(word) == reference_sminv(word), word
+            assert thick_thin(word) == reference_thick_thin(word), word
+            assert ascent_descent_counts(word) == reference_ascent_descent_counts(word), word
+            fired |= rules_fired(word)
+    assert fired == {1, 2, 3, 4}
+
+
+def test_split_positions_still_refuses_non_permutations():
+    with pytest.raises(ValueError):
+        split_positions(parse_word("1 2|1"))
+    with pytest.raises(ValueError):
+        split_positions(parse_word("1 3"))
+
+
+def test_thick_thin_still_returns_strings():
+    assert thick_thin(parse_word("1 3|2 1")) == ("thick", "thin", "thick", "thick")
+
+
+def word_of_blocks(blocks):
+    letters = tuple(x for blk in blocks for x in blk)
+    return SegmentedWord(letters, tuple(accumulate(len(blk) for blk in blocks[:-1])))
+
+
+def test_psi_walk_is_psi_on_every_element():
+    # monomial_str() is injective on the a12 basis of one size, so equal
+    # (monomial, word) sets mean the walk pairs each element with psi of it
+    for n in range(1, 7):
+        leaves = list(psi_walk(n))
+        assert len(leaves) == (1 << (n - 1)) * factorial(n)
+        walked = set()
+        for monomial, blocks, labels in leaves:
+            word = word_of_blocks(blocks)
+            assert "|".join(labels) == format_word(word)
+            walked.add((monomial, word))
+        expected = {(b.monomial_str(), psi(b)) for b in enumerate_basis(n, "a12")}
+        assert len(expected) == len(leaves)
+        assert walked == expected
+
+
+def test_psi_walk_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        list(psi_walk(0))
