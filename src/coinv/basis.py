@@ -231,16 +231,27 @@ class _Packing:
         return sum(1 << self.width * a for a in range(k))
 
     def unpack(self, value):
-        """The QuvPolynomial that `value` packs."""
+        """The QuvPolynomial that `value` packs.
+
+        Most fields are zero: whole u^b v^c blocks that no element reaches,
+        and the q slots outside each piece's degree range.  So each block
+        is cut to the span from its first to its last nonzero byte by
+        C-level strips, and only the fields in that span are decoded.
+        """
         step = self.width // 8
-        data = value.to_bytes(-(-value.bit_length() // self.width) * step, "little")
+        size = self.qs * step  # bytes per u^b v^c block
+        data = value.to_bytes(-(-value.bit_length() // (8 * size)) * size, "little")
         terms = {}
-        for slot in range(len(data) // step):
-            coeff = int.from_bytes(data[slot * step:(slot + 1) * step], "little")
-            if coeff:
-                rest, a = divmod(slot, self.qs)
-                c, b = divmod(rest, self.us)
-                terms[(a, b, c)] = coeff
+        for index, start in enumerate(range(0, len(data), size)):
+            block = data[start:start + size].rstrip(b"\0")
+            if not block:
+                continue
+            c, b = divmod(index, self.us)
+            first = (len(block) - len(block.lstrip(b"\0"))) // step
+            for a in range(first, -(-len(block) // step)):
+                coeff = int.from_bytes(block[a * step:(a + 1) * step], "little")
+                if coeff:
+                    terms[(a, b, c)] = coeff
         return QuvPolynomial(terms)
 
 
@@ -349,30 +360,32 @@ def _subset_bits(n, lowest):
         yield tuple([0] * (lowest - 1) + [mask >> i & 1 for i in range(width)])
 
 
-@lru_cache(maxsize=8)
-def enumerate_basis(n, variant):
-    """The full basis for the given variant, in canonical order.
+def iter_basis(n, variant):
+    """Yield the full basis for the given variant, in canonical order.
 
     Path-borne variants are ordered by path (lexicographic step order),
     then by alpha lexicographically; the (1,1) variants are ordered by
-    the bitmask of T, then by exponent vector.
+    the bitmask of T, then by exponent vector.  A single pass holds one
+    element at a time, so it can run over bases too large to keep.
     """
     if n < 1:
-        raise ValueError("enumerate_basis needs n >= 1")
+        raise ValueError("a basis needs n >= 1")
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
-    out = []
+    # BasisElement(...) runs a Python-level __new__ per element; building
+    # the same tuple subclass straight from tuple.__new__ halves the pass.
+    new = tuple.__new__
     if variant in ("a12", "b12"):
         for path in motzkin.enumerate_paths(n, variant[0]):
             theta, xi = _bits_of_path(path)
             bound = path_bound(path)
             for alpha in product(*(range(b + 1) for b in bound)):
-                out.append(BasisElement(alpha, theta, xi, variant))
+                yield new(BasisElement, (alpha, theta, xi, variant))
     elif variant == "a02":
         zero = (0,) * n
         for path in motzkin.enumerate_paths(n, "a"):
             theta, xi = _bits_of_path(path)
-            out.append(BasisElement(zero, theta, xi, variant))
+            yield new(BasisElement, (zero, theta, xi, variant))
     else:
         lowest = 2 if variant == "a11" else 1
         zero_xi = (0,) * n
@@ -380,8 +393,13 @@ def enumerate_basis(n, variant):
             T = frozenset(i + 1 for i, b in enumerate(theta) if b)
             bound = super_artin_bound(T, n, variant[0])
             for alpha in product(*(range(b + 1) for b in bound)):
-                out.append(BasisElement(alpha, theta, zero_xi, variant))
-    return out
+                yield new(BasisElement, (alpha, theta, zero_xi, variant))
+
+
+@lru_cache(maxsize=8)
+def enumerate_basis(n, variant):
+    """The full basis as a list, in the canonical order of iter_basis."""
+    return list(iter_basis(n, variant))
 
 
 def count_basis(n, variant):

@@ -25,6 +25,9 @@ EXIT_CLOSED_PIPE = 141
 # and runs; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
+# Rows per json.dumps call when a table is printed as json.
+JSON_SLICE = 1024
+
 
 def _fail(message):
     print(message, file=sys.stderr)
@@ -64,7 +67,19 @@ def _print_rows(rows, header, fmt):
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     elif fmt == "json":
-        print(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
+        # In slices of rows, laid out as json.dumps(list_of_dicts, indent=2)
+        # lays out the whole table, so the document is never one string:
+        # each slice is dumped as a list and its brackets cut off.
+        if not rows:
+            print("[]")
+            return
+        encode = json.JSONEncoder(indent=2).encode
+        lead = "[\n"
+        for start in range(0, len(rows), JSON_SLICE):
+            part = [dict(zip(header, row)) for row in rows[start:start + JSON_SLICE]]
+            sys.stdout.write(lead + encode(part)[2:-2])
+            lead = ",\n"
+        sys.stdout.write("\n]\n")
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
                   for i, h in enumerate(header)]

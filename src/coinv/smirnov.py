@@ -175,6 +175,19 @@ def _split_values(w, thick):
     return tuple(out)
 
 
+def word_statistics(word):
+    """(k, l, sminv, splitting values) of a segmented permutation at once.
+
+    Runs the kernels of ascent_descent_counts, sminv and split_positions
+    on one set of block-initial flags.  Unlike split_positions it does not
+    check that the letters are a permutation.
+    """
+    w = word.letters
+    initial = _initial_flags(word)
+    k, l = _rise_fall_counts(w, initial)
+    return k, l, _sminv_count(w, initial), _split_values(w, _thick_flags(w, initial))
+
+
 def split_set(word):
     """The splitting values as an IndexSubset."""
     return IndexSubset(split_positions(word), word.n)

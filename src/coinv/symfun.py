@@ -126,14 +126,17 @@ def frobenius_qsym(n, k=None, l=None, route="basis"):
             if poly:
                 out.add(_subset_of_mask(mask, n), poly)
     elif route == "words":
+        tallies = {}  # split values -> {(sminv, k, l): number of words}
         for word in smirnov.enumerate_segmented_permutations(n):
-            dk, dl = smirnov.ascent_descent_counts(word)
+            dk, dl, inv, split = smirnov.word_statistics(word)
             if k is not None and dk != k:
                 continue
             if l is not None and dl != l:
                 continue
-            key = IndexSubset(smirnov.split_positions(word), n)
-            out.add(key, QuvPolynomial({(smirnov.sminv(word), dk, dl): 1}))
+            counts = tallies.setdefault(split, {})
+            counts[(inv, dk, dl)] = counts.get((inv, dk, dl), 0) + 1
+        for split, counts in tallies.items():
+            out.add(IndexSubset(split, n), QuvPolynomial(counts))
     else:
         raise ValueError("route must be 'basis' or 'words'")
     return out
@@ -323,14 +326,29 @@ def hook_h_coefficient(n, k, l, d):
     """
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    total = ZERO
+    return _hook_h_table(n).get((k, l, d), ZERO)
+
+
+@lru_cache(maxsize=None)
+def _hook_h_table(n):
+    """hook_h_coefficient for every (k, l, d) from one pass over the
+    enumerated a12 basis, independent of basis.ascent_table.
+
+    An element whose first p positions are bare counts for d = 0..p-1;
+    the x-degrees are tallied as integers and each polynomial built once.
+    """
+    tallies = {}
     for b in basis_mod.enumerate_basis(n, "a12"):
-        if b.deg_theta != k or b.deg_xi != l:
-            continue
-        head = range(d + 1)
-        if all(b.alpha[m] == 0 and b.theta[m] == 0 and b.xi[m] == 0 for m in head):
-            total = total + q_power(b.deg_x)
-    return total
+        alpha, theta, xi = b.alpha, b.theta, b.xi
+        bare = 0
+        while bare < n and not (alpha[bare] or theta[bare] or xi[bare]):
+            bare += 1
+        k, l, x = sum(theta), sum(xi), sum(alpha)
+        for d in range(bare):
+            counts = tallies.setdefault((k, l, d), {})
+            counts[x] = counts.get(x, 0) + 1
+    return {key: QuvPolynomial({(x, 0, 0): c for x, c in counts.items()})
+            for key, counts in tallies.items()}
 
 
 @lru_cache(maxsize=None)
@@ -388,22 +406,23 @@ def hook_asc_characterization(element, d):
     from a+2 on, theta stays on with weakly falling alpha.
     """
     alpha, theta, xi = element.alpha, element.theta, element.xi
-    n = element.n
+    n = len(alpha)
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    if not all(alpha[m] == 0 and theta[m] == 0 and xi[m] == 0 for m in range(d + 1)):
-        return False
+    for m in range(d + 1):
+        if alpha[m] or theta[m] or xi[m]:
+            return False
     for a in range(d + 1, n + 1):
         ok = True
         for m in range(d + 2, a + 1):
-            if theta[m - 1] != 0 or not alpha[m - 2] < alpha[m - 1] + xi[m - 1]:
+            if theta[m - 1] or alpha[m - 2] >= alpha[m - 1] + xi[m - 1]:
                 ok = False
                 break
-        if ok and a < n and not (theta[a - 1] == 0 and theta[a] == 1):
+        if ok and a < n and (theta[a - 1] or not theta[a]):
             ok = False
         if ok:
             for m in range(a + 2, n + 1):
-                if theta[m - 1] != 1 or not alpha[m - 2] >= alpha[m - 1] + xi[m - 1]:
+                if not theta[m - 1] or alpha[m - 2] < alpha[m - 1] + xi[m - 1]:
                     ok = False
                     break
         if ok:

@@ -128,20 +128,26 @@ def check_cardinality_b(n):
 
 
 def check_specializations(n):
-    """a12 elements with xi == 0 are exactly a11; with alpha == 0, exactly a02."""
+    """a12 elements with xi == 0 are exactly a11; with alpha == 0, exactly a02.
+
+    Every basis is streamed once: one a12 pass collects both restrictions,
+    and b12 is filtered as it goes instead of being kept.
+    """
     for m in range(1, n + 1):
-        a12 = basis.enumerate_basis(m, "a12")
-        via_12 = sorted((b.alpha, b.theta) for b in a12 if not any(b.xi))
-        a11 = sorted((b.alpha, b.theta) for b in basis.enumerate_basis(m, "a11"))
-        if via_12 != a11:
+        via_12, via_02 = [], []
+        for b in basis.iter_basis(m, "a12"):
+            if not any(b.xi):
+                via_12.append((b.alpha, b.theta))
+            if not any(b.alpha):
+                via_02.append((b.theta, b.xi))
+        a11 = sorted((b.alpha, b.theta) for b in basis.iter_basis(m, "a11"))
+        if sorted(via_12) != a11:
             return "a12 restricted to xi=0 differs from a11 at n=%d" % m
-        via_02 = sorted((b.theta, b.xi) for b in a12 if not any(b.alpha))
-        a02 = sorted((b.theta, b.xi) for b in basis.enumerate_basis(m, "a02"))
-        if via_02 != a02:
+        a02 = sorted((b.theta, b.xi) for b in basis.iter_basis(m, "a02"))
+        if sorted(via_02) != a02:
             return "a12 restricted to alpha=0 differs from a02 at n=%d" % m
-        b12 = basis.enumerate_basis(m, "b12")
-        via_b = sorted((b.alpha, b.theta) for b in b12 if not any(b.xi))
-        b11 = sorted((b.alpha, b.theta) for b in basis.enumerate_basis(m, "b11"))
+        via_b = sorted((b.alpha, b.theta) for b in basis.iter_basis(m, "b12") if not any(b.xi))
+        b11 = sorted((b.alpha, b.theta) for b in basis.iter_basis(m, "b11"))
         if via_b != b11:
             return "b12 restricted to xi=0 differs from b11 at n=%d" % m
     return None
@@ -162,17 +168,18 @@ def check_hilbert_stirling_b(n):
 
 
 def check_hilbert_dimension(n):
-    """a12 at q=u=v=1 and at q=0; b12 at q=u=v=1, up to n=5 only."""
+    """a12 at q=u=v=1 and at q=0; b12 at q=u=v=1."""
     for m in range(1, n + 1):
         if basis.hilbert_series(m, "a12").evaluate() != (1 << (m - 1)) * factorial(m):
             return "a12 Hilbert at q=u=v=1 wrong at n=%d" % m
         weights = basis.hilbert_series(m, "a12").substitute(q=0)
-        direct = ZERO
-        for b in basis.enumerate_basis(m, "a02"):
-            direct = direct + QuvPolynomial({(0, b.deg_theta, b.deg_xi): 1})
-        if weights != direct:
+        counts = {}
+        for b in basis.iter_basis(m, "a02"):
+            key = (0, b.deg_theta, b.deg_xi)
+            counts[key] = counts.get(key, 0) + 1
+        if weights != QuvPolynomial(counts):
             return "a12 Hilbert at q=0 differs from the a02 basis at n=%d" % m
-    for m in range(1, min(n, 5) + 1):
+    for m in range(1, n + 1):
         if basis.hilbert_series(m, "b12").evaluate() != 4**m * factorial(m):
             return "b12 Hilbert at q=u=v=1 wrong at n=%d" % m
     return None
@@ -220,8 +227,9 @@ def check_count_type_b_refined(n):
 
 def check_bijection_suite(n):
     for m in range(1, n + 1):
-        words = smirnov.enumerate_segmented_permutations(m)
-        if len(words) != (1 << (m - 1)) * factorial(m):
+        # only the count is kept, so the words are not held during the loop
+        count = len(smirnov.enumerate_segmented_permutations(m))
+        if count != (1 << (m - 1)) * factorial(m):
             return "segmented permutation count wrong at n=%d" % m
         seen = set()
         for b in basis.enumerate_basis(m, "a12"):
@@ -231,34 +239,38 @@ def check_bijection_suite(n):
             if word in seen:
                 return "psi is not injective at %s" % (b,)
             seen.add(word)
+            # psi_inverse refuses a word that is not a permutation
             if smirnov.psi_inverse(word) != b:
                 return "psi round trip fails at %s" % (b,)
-            k, l = smirnov.ascent_descent_counts(word)
+            k, l, inv, split = smirnov.word_statistics(word)
             if (b.deg_theta, b.deg_xi) != (k, l):
                 return "theta/xi degree not preserved at %s" % (b,)
-            if b.deg_x != smirnov.sminv(word):
+            if b.deg_x != inv:
                 return "x-degree vs sminv fails at %s" % (b,)
-            if basis.ascent_positions(b.alpha, b.theta, b.xi) != smirnov.split_positions(word):
+            if basis.ascent_positions(b.alpha, b.theta, b.xi) != split:
                 return "Asc != Split at %s" % (b,)
-            if len(word.blocks()) != m - k - l:
+            if len(word.splits) + 1 != m - k - l:
                 return "block count identity fails at %s" % (word,)
-        if len(seen) != len(words):
+        if len(seen) != count:
             return "psi is not surjective at n=%d" % m
     return None
 
 
 def check_sw_recursion(n):
     for m in range(1, n + 1):
-        buckets = {}
+        counts = {}  # (k, l) -> {sminv: number of words}
         for word in smirnov.enumerate_segmented_permutations(m):
-            k, l = smirnov.ascent_descent_counts(word)
-            key = (k, l)
-            buckets[key] = buckets.get(key, ZERO) + q_power(smirnov.sminv(word))
+            letters = word.letters
+            initial = smirnov._initial_flags(word)
+            by_inv = counts.setdefault(smirnov._rise_fall_counts(letters, initial), {})
+            inv = smirnov._sminv_count(letters, initial)
+            by_inv[inv] = by_inv.get(inv, 0) + 1
         total = ZERO
         for k in range(m):
             for l in range(m - k):
                 poly = smirnov.sw_q(m, k, l)
-                if buckets.get((k, l), ZERO) != poly:
+                by_inv = counts.get((k, l), {})
+                if QuvPolynomial({(inv, 0, 0): c for inv, c in by_inv.items()}) != poly:
                     return "sw_q recursion differs from enumeration at (%d,%d,%d)" % (m, k, l)
                 total = total + _shift_uv(poly, k, l)
         if total != basis.hilbert_series(m, "a12"):
@@ -289,10 +301,11 @@ def qsym_monomial_expansion(expansion):
 
     Returns a dict from exponent vectors (length n) to QuvPolynomial.
     Each Q_{S,n} contributes one word per weakly increasing map
-    {1..n} -> {1..n} that rises strictly at the positions in S.
+    {1..n} -> {1..n} that rises strictly at the positions in S.  The words
+    of each subset are counted per exponent vector, and each vector's
+    polynomial is built once from integer coefficients.
     """
     n = expansion.n
-    out = {}
 
     def words(prefix, pos, strict_at):
         if pos == n:
@@ -304,18 +317,24 @@ def qsym_monomial_expansion(expansion):
             yield from words(prefix, pos + 1, strict_at)
             prefix.pop()
 
+    tallies = {}  # exponent vector -> {(a, b, c): coefficient}
     for subset, coeff in expansion.coeffs.items():
-        strict = set(subset.elements)
-        for w in words([], 0, strict):
+        counts = {}
+        for w in words([], 0, set(subset.elements)):
             exps = [0] * n
             for letter in w:
                 exps[letter - 1] += 1
             key = tuple(exps)
-            now = out.get(key, ZERO) + coeff
-            if now:
-                out[key] = now
-            else:
-                del out[key]
+            counts[key] = counts.get(key, 0) + 1
+        for key, count in counts.items():
+            terms = tallies.setdefault(key, {})
+            for monomial, co in coeff.terms.items():
+                terms[monomial] = terms.get(monomial, 0) + count * co
+    out = {}
+    for key, terms in tallies.items():
+        poly = QuvPolynomial(terms)
+        if poly:
+            out[key] = poly
     return out
 
 
@@ -335,13 +354,17 @@ def check_symmetry_witness(n):
 
 def check_h_mu_dual(n):
     for m in range(1, n + 1):
+        # the monomial expansion of each (k, l) piece does not depend on mu
+        expansions = {
+            (k, l): qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
+            for k in range(m) for l in range(m - k)
+        }
         for mu in enumerate_partitions(m):
             exponent = tuple(mu.parts) + (0,) * (m - mu.length)
             for k in range(m):
                 for l in range(m - k):
                     via_theorem = symfun.h_mu_coefficient(m, k, l, mu)
-                    expansion = qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
-                    via_monomials = expansion.get(exponent, ZERO).substitute(u=1, v=1)
+                    via_monomials = expansions[k, l].get(exponent, ZERO).substitute(u=1, v=1)
                     if via_theorem != via_monomials:
                         return "h_mu dual-path fails at n=%d mu=%s (k=%d,l=%d)" % (m, mu, k, l)
     return None
@@ -383,19 +406,27 @@ def check_hook_characterization(n):
     return None
 
 
+def _qsym_of_stream(elements, m, weight):
+    """The QSymExpansion summing weight(b) Q_{Asc(b),m} over a stream of
+    elements, counted as integers per ascent set and weight."""
+    tallies = {}
+    for b in elements:
+        counts = tallies.setdefault(basis.ascent_positions(b.alpha, b.theta, b.xi), {})
+        key = weight(b)
+        counts[key] = counts.get(key, 0) + 1
+    out = symfun.QSymExpansion(m)
+    for asc, counts in tallies.items():
+        out.add(IndexSubset(asc, m), QuvPolynomial(counts))
+    return out
+
+
 def check_frobenius_specializations(n):
     for m in range(1, n + 1):
         frob = symfun.frobenius_qsym(m)
-        from_a02 = symfun.QSymExpansion(m)
-        for b in basis.enumerate_basis(m, "a02"):
-            key = IndexSubset(basis.ascent_positions(b.alpha, b.theta, b.xi), m)
-            from_a02.add(key, QuvPolynomial({(0, b.deg_theta, b.deg_xi): 1}))
+        from_a02 = _qsym_of_stream(basis.iter_basis(m, "a02"), m, lambda b: (0, b.deg_theta, b.deg_xi))
         if frob.substitute(q=0) != from_a02:
             return "q=0 specialization differs from the a02 expansion at n=%d" % m
-        from_a11 = symfun.QSymExpansion(m)
-        for b in basis.enumerate_basis(m, "a11"):
-            key = IndexSubset(basis.ascent_positions(b.alpha, b.theta, b.xi), m)
-            from_a11.add(key, QuvPolynomial({(b.deg_x, b.deg_theta, 0): 1}))
+        from_a11 = _qsym_of_stream(basis.iter_basis(m, "a11"), m, lambda b: (b.deg_x, b.deg_theta, 0))
         if frob.substitute(v=0) != from_a11:
             return "v=0 specialization differs from the a11 expansion at n=%d" % m
     return None

@@ -1,8 +1,10 @@
+import random
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
-from coinv import verify
+from coinv import basis, motzkin, verify
 from coinv.basis import (
     BasisElement,
     alpha_sequence,
@@ -17,8 +19,11 @@ from coinv.basis import (
     enumerate_basis,
     hilbert_11_formula,
     hilbert_series,
+    iter_basis,
+    path_bound,
     stair_q,
     stair_q_from_sets,
+    super_artin_bound,
 )
 from coinv.motzkin import parse_path
 from coinv.qpoly import ONE, QuvPolynomial, q_integer
@@ -163,3 +168,78 @@ def test_path_reconstruction():
         path = b.path()
         T, S = path.weight_sets()
         assert T == b.theta_set and S == b.xi_set
+
+
+def reference_enumerate_basis(n, variant):
+    """The list-building enumerator that iter_basis replaced."""
+    out = []
+    if variant in ("a12", "b12"):
+        for path in motzkin.enumerate_paths(n, variant[0]):
+            theta, xi = basis._bits_of_path(path)
+            for alpha in product(*(range(b + 1) for b in path_bound(path))):
+                out.append(BasisElement(alpha, theta, xi, variant))
+    elif variant == "a02":
+        for path in motzkin.enumerate_paths(n, "a"):
+            theta, xi = basis._bits_of_path(path)
+            out.append(BasisElement((0,) * n, theta, xi, variant))
+    else:
+        lowest = 2 if variant == "a11" else 1
+        for theta in basis._subset_bits(n, lowest):
+            T = frozenset(i + 1 for i, b in enumerate(theta) if b)
+            for alpha in product(*(range(b + 1) for b in super_artin_bound(T, n, variant[0]))):
+                out.append(BasisElement(alpha, theta, (0,) * n, variant))
+    return out
+
+
+@pytest.mark.parametrize("variant", basis.VARIANTS)
+def test_iter_basis_matches_the_list_enumerator(variant):
+    for n in range(1, 5 if variant == "b12" else 6):
+        expected = reference_enumerate_basis(n, variant)
+        for got in (list(iter_basis(n, variant)), enumerate_basis(n, variant)):
+            assert got == expected, (n, variant)
+            assert all(type(b) is BasisElement for b in got)
+            assert [b.variant for b in got] == [variant] * len(got)
+
+
+def test_iter_basis_rejects_bad_input():
+    with pytest.raises(ValueError):
+        next(iter_basis(0, "a12"))
+    with pytest.raises(ValueError):
+        next(iter_basis(3, "c12"))
+    with pytest.raises(ValueError):
+        enumerate_basis(0, "a12")
+
+
+def reference_unpack(pack, value):
+    """The field-by-field decoder that _Packing.unpack replaced."""
+    step = pack.width // 8
+    data = value.to_bytes(-(-value.bit_length() // pack.width) * step, "little")
+    terms = {}
+    for slot in range(len(data) // step):
+        coeff = int.from_bytes(data[slot * step:(slot + 1) * step], "little")
+        if coeff:
+            rest, a = divmod(slot, pack.qs)
+            c, b = divmod(rest, pack.us)
+            terms[(a, b, c)] = coeff
+    return QuvPolynomial(terms)
+
+
+def test_unpack_decodes_only_nonzero_fields_correctly():
+    # coefficients with zero bytes inside and at either end of a field, and
+    # terms at the first and last slot of a block, so that runs of nonzero
+    # bytes start, stop and meet in every position a field allows
+    rng = random.Random(7)
+    for kind in ("a", "b"):
+        for n in range(1, 7):
+            pack = basis._Packing(n, kind)
+            top = (1 << pack.width) - 1
+            shapes = [1, top, 1 << (pack.width - 8), (1 << (pack.width - 8)) + 1, 0x0100 & top or 1]
+            for _ in range(40):
+                terms = {}
+                for _ in range(rng.randint(0, 12)):
+                    a = rng.choice([0, pack.qs - 1, rng.randrange(pack.qs)])
+                    key = (a, rng.randrange(pack.us), rng.randrange(n + 2))
+                    terms[key] = rng.choice(shapes + [rng.randint(1, top)])
+                value = sum(coeff << pack.shift(*key) for key, coeff in terms.items())
+                poly = pack.unpack(value)
+                assert poly == QuvPolynomial(terms) == reference_unpack(pack, value)

@@ -100,6 +100,19 @@ def test_bijection_matches_per_element_reference(capsys, n):
         assert first_difference(out, expected) is None, (n, fmt)
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [("1", "1", 0, 0, 0, "{}")],
+    reference_bijection_rows(4),
+    [(d, "q", True, None) for d in range(2 * cli.JSON_SLICE + 1)],
+])
+def test_json_rows_match_one_dumps_of_the_whole_table(capsys, rows):
+    header = ("a", "b", "c", "d", "e", "f")
+    cli._print_rows(rows, header, "json")
+    expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    assert first_difference(capsys.readouterr().out, expected) is None
+
+
 def first_difference(out, expected):
     """None for equal texts, else the first differing line as (number, got, want).
 

@@ -1,6 +1,6 @@
 import pytest
 
-from coinv import verify
+from coinv import smirnov, verify
 from coinv.basis import BasisElement, enumerate_basis
 from coinv.combinat import Composition, IndexSubset, Partition, enumerate_partitions, enumerate_subsets, comp_of_set, hook_partition
 from coinv.qpoly import ONE, ZERO, QuvPolynomial, q_power
@@ -211,3 +211,82 @@ def test_qsym_json():
     data = frobenius_qsym(2).to_json()
     assert data["n"] == 2
     assert [entry["subset"] for entry in data["coeffs"]] == [[], [1]]
+
+
+# -- the per-element and per-word versions that tallies replaced ---------------
+
+
+def reference_hook_h_coefficient(n, k, l, d):
+    """One pass over the basis per call, one polynomial add per element."""
+    total = ZERO
+    for b in enumerate_basis(n, "a12"):
+        if b.deg_theta != k or b.deg_xi != l:
+            continue
+        if all(b.alpha[m] == 0 and b.theta[m] == 0 and b.xi[m] == 0 for m in range(d + 1)):
+            total = total + q_power(b.deg_x)
+    return total
+
+
+def test_hook_h_coefficient_matches_the_per_call_loop():
+    for n in range(1, 7):
+        for d in range(n):
+            for k in range(n):
+                for l in range(n - k):
+                    assert hook_h_coefficient(n, k, l, d) == reference_hook_h_coefficient(n, k, l, d), (n, k, l, d)
+    with pytest.raises(ValueError):
+        hook_h_coefficient(3, 0, 0, 3)
+
+
+def reference_words_route(n, k=None, l=None):
+    """frobenius_qsym(route="words") with one QSymExpansion.add per word."""
+    out = QSymExpansion(n)
+    for word in smirnov.enumerate_segmented_permutations(n):
+        dk, dl = smirnov.ascent_descent_counts(word)
+        if k is not None and dk != k:
+            continue
+        if l is not None and dl != l:
+            continue
+        key = IndexSubset(smirnov.split_positions(word), n)
+        out.add(key, QuvPolynomial({(sminv(word), dk, dl): 1}))
+    return out
+
+
+def test_words_route_matches_per_word_adds():
+    for n in range(1, 6):
+        filters = [(None, None)] + [(k, None) for k in range(n)] + [(None, l) for l in range(n)]
+        filters += [(k, l) for k in range(n) for l in range(n - k)]
+        for k, l in filters:
+            assert frobenius_qsym(n, k=k, l=l, route="words") == reference_words_route(n, k, l), (n, k, l)
+
+
+def reference_hook_asc_characterization(element, d):
+    """hook_asc_characterization with all() over a generator and .n."""
+    alpha, theta, xi = element.alpha, element.theta, element.xi
+    n = element.n
+    if not 0 <= d <= n - 1:
+        raise ValueError("needs 0 <= d <= n-1")
+    if not all(alpha[m] == 0 and theta[m] == 0 and xi[m] == 0 for m in range(d + 1)):
+        return False
+    for a in range(d + 1, n + 1):
+        ok = True
+        for m in range(d + 2, a + 1):
+            if theta[m - 1] != 0 or not alpha[m - 2] < alpha[m - 1] + xi[m - 1]:
+                ok = False
+                break
+        if ok and a < n and not (theta[a - 1] == 0 and theta[a] == 1):
+            ok = False
+        if ok:
+            for m in range(a + 2, n + 1):
+                if theta[m - 1] != 1 or not alpha[m - 2] >= alpha[m - 1] + xi[m - 1]:
+                    ok = False
+                    break
+        if ok:
+            return True
+    return False
+
+
+def test_hook_asc_characterization_matches_the_generator_version():
+    for n in range(1, 7):
+        for b in enumerate_basis(n, "a12"):
+            for d in range(n):
+                assert hook_asc_characterization(b, d) == reference_hook_asc_characterization(b, d), (b, d)
