@@ -25,7 +25,7 @@ EXIT_CLOSED_PIPE = 141
 # and runs; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
-# Rows per json.dumps call when a table is printed as json.
+# Items per json.dumps call when a table or a basis is printed as json.
 JSON_SLICE = 1024
 
 
@@ -58,6 +58,24 @@ def _check_enumerable(n, variant):
             )
 
 
+def _print_json_list(items, to_json):
+    """Print [to_json(item) for item in items] as json.dumps(..., indent=2) would.
+
+    The items are converted and dumped in slices, so the document is never
+    one string: each slice is dumped as a list and its brackets cut off.
+    """
+    if not items:
+        print("[]")
+        return
+    encode = json.JSONEncoder(indent=2).encode
+    lead = "[\n"
+    for start in range(0, len(items), JSON_SLICE):
+        part = [to_json(item) for item in items[start:start + JSON_SLICE]]
+        sys.stdout.write(lead + encode(part)[2:-2])
+        lead = ",\n"
+    sys.stdout.write("\n]\n")
+
+
 def _print_rows(rows, header, fmt):
     """Emit a table as csv, json or aligned text."""
     if fmt == "csv":
@@ -67,19 +85,7 @@ def _print_rows(rows, header, fmt):
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     elif fmt == "json":
-        # In slices of rows, laid out as json.dumps(list_of_dicts, indent=2)
-        # lays out the whole table, so the document is never one string:
-        # each slice is dumped as a list and its brackets cut off.
-        if not rows:
-            print("[]")
-            return
-        encode = json.JSONEncoder(indent=2).encode
-        lead = "[\n"
-        for start in range(0, len(rows), JSON_SLICE):
-            part = [dict(zip(header, row)) for row in rows[start:start + JSON_SLICE]]
-            sys.stdout.write(lead + encode(part)[2:-2])
-            lead = ",\n"
-        sys.stdout.write("\n]\n")
+        _print_json_list(rows, lambda row: dict(zip(header, row)))
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
                   for i, h in enumerate(header)]
@@ -92,7 +98,7 @@ def cmd_basis(args):
     _check_enumerable(args.n, args.variant)
     elements = basis.enumerate_basis(args.n, args.variant)
     if args.format == "json":
-        print(json.dumps([b.to_json() for b in elements], indent=2))
+        _print_json_list(elements, basis.BasisElement.to_json)
     elif args.format == "csv":
         rows = [(b.monomial_str(), b.deg_x, b.deg_theta, b.deg_xi) for b in elements]
         _print_rows(rows, ("monomial", "deg_x", "deg_theta", "deg_xi"), "csv")

@@ -4,13 +4,16 @@ Works directly with the polynomial-exterior algebra on x, theta and xi
 variables: symmetrize every monomial of a multidegree to span the
 invariants, span the ideal piece by invariant-times-monomial products, and
 read off the quotient dimension from an exact integer rank.  Everything is
-deterministic: fixed monomial order, fixed pivot rule, no floats.
+deterministic: fixed monomial order, fixed pivot rule (the largest column
+of each row, which in `monomial_basis` order is its x_1-heaviest
+monomial), no floats.
 
 The hot paths are exact shortcuts of the plain definitions, which stay as
 the references the tests compare them with: invariants symmetrize one
 monomial per orbit through a precomputed action table (`reynolds`,
-`group_action`), and monomial products read their fermionic signs from a
-memo.
+`group_action`), and ideal rows are built from packed integer monomial
+codes, where the code of a product is the sum of its factors' codes and
+the fermionic sign is read from a memo (`multiply_monomials`).
 """
 
 from functools import lru_cache
@@ -200,17 +203,13 @@ def _table_images(mono, table):
 _PRODUCT_SIGNS = {}
 
 
-def multiply_monomials(m1, m2):
-    """Product in the superalgebra: None if a fermionic factor repeats.
+def _product_sign(t1, f1, t2, f2):
+    """Reordering sign of theta_t1 xi_f1 * theta_t2 xi_f2 for disjoint masks.
 
-    Thetas of m2 cross the xis of m1 (one sign per crossing pair), then
-    each fermionic family merges with its own sorting sign: one per pair
-    of a factor of m2 below a factor of m1.
+    Thetas of the second factor cross the xis of the first (one sign per
+    crossing pair), then each fermionic family merges with its own sorting
+    sign: one per pair of a factor of the second below one of the first.
     """
-    x1, t1, f1 = m1
-    x2, t2, f2 = m2
-    if t1 & t2 or f1 & f2:
-        return None
     key = (t1, f1, t2, f2)
     sign = _PRODUCT_SIGNS.get(key)
     if sign is None:
@@ -221,7 +220,34 @@ def multiply_monomials(m1, m2):
                 parity += (mine >> low.bit_length()).bit_count()
                 other ^= low
         sign = _PRODUCT_SIGNS[key] = -1 if parity & 1 else 1
+    return sign
+
+
+def multiply_monomials(m1, m2):
+    """Product in the superalgebra: None if a fermionic factor repeats."""
+    x1, t1, f1 = m1
+    x2, t2, f2 = m2
+    if t1 & t2 or f1 & f2:
+        return None
+    sign = _product_sign(t1, f1, t2, f2)
     return sign, tuple.__new__(SuperMonomial, (tuple(map(add, x1, x2)), t1 | t2, f1 | f2))
+
+
+def _monomial_codes(n, degree, width):
+    """The monomials of `monomial_basis(n, degree)` as packed integers.
+
+    A code is (x exponents in base 2**width, x_1 lowest) << 2n | tmask << n
+    | xmask.  For two monomials with disjoint masks whose exponents add up
+    to less than 2**width, the code of the product monomial is the sum of
+    the codes.
+    """
+    out = []
+    for xexp, tmask, xmask in monomial_basis(n, degree):
+        packed = 0
+        for e in reversed(xexp):
+            packed = packed << width | e
+        out.append((packed << n | tmask) << n | xmask)
+    return tuple(out)
 
 
 def reynolds(mono, n, group_kind):
@@ -259,10 +285,11 @@ class _Echelon:
     """Incremental integer row reduction with a fixed pivot rule.
 
     Rows are sparse dicts over column indices.  Each incoming row is
-    reduced fraction-free against stored pivot rows (pivot = smallest
-    column index); surviving rows are gcd-normalized and kept.  The
-    reduction works on one copy of the row, in place, and a heap of its
-    columns yields the next leading column.
+    reduced fraction-free against stored pivot rows (pivot = largest
+    column index); surviving rows are gcd-normalized, with a positive
+    pivot entry, and kept.  The reduction works on one copy of the row, in
+    place, and a heap of its negated columns yields the next leading
+    column.
     """
 
     def __init__(self):
@@ -279,10 +306,10 @@ class _Echelon:
         pivots = self.pivots
         # Every column of the row has an entry in the heap; entries of
         # columns that cancelled since they were pushed are skipped.
-        heap = list(row)
+        heap = [-c for c in row]
         heapify(heap)
         while heap:
-            lead = heappop(heap)
+            lead = -heappop(heap)
             b = get(lead)
             if b is None:
                 continue
@@ -305,7 +332,7 @@ class _Echelon:
                 w = get(c)
                 if w is None:
                     row[c] = -v * mb
-                    heappush(heap, c)
+                    heappush(heap, -c)
                 else:
                     w -= v * mb
                     if w:
@@ -335,7 +362,8 @@ def invariant_subspace(n, group_kind, degree):
     Reduces the Reynolds image of every monomial of the degree, in order,
     to an echelon basis.  Only the first monomial of each orbit is
     symmetrized: if g.m = e.m' with e = +-1, then R(m') = e.R(m).  Vectors
-    are sparse dicts over the canonical monomial index of the degree.
+    are sparse dicts over the canonical monomial index of the degree, in
+    descending order of their pivot (largest) column.
     """
     basis = monomial_basis(n, degree)
     index = {m: i for i, m in enumerate(basis)}
@@ -363,11 +391,7 @@ def invariant_subspace(n, group_kind, degree):
         ech.insert(row)
         if ech.rank == len(basis):
             break
-    return tuple(dict(row) for _, row in sorted(ech.pivots.items()))
-
-
-def invariant_dimension(n, group_kind, degree):
-    return len(invariant_subspace(n, group_kind, degree))
+    return tuple(dict(row) for _, row in sorted(ech.pivots.items(), reverse=True))
 
 
 DEFAULT_MONOMIAL_CAP = 50000
@@ -397,10 +421,21 @@ def quotient_dimension(n, group_kind, degree, max_x_degree=None, monomial_cap=DE
 
 
 def _ideal_rank(n, group_kind, degree):
+    """Rank of the ideal piece: every invariant times every monomial.
+
+    Rows come in the order (E, invariant vector, complement monomial).
+    Distinct factors times one monomial are distinct monomials, so a row
+    has one entry per factor whose masks miss the monomial's.  Those
+    factors and their signed coefficients depend only on the monomial's
+    masks, so they are listed once per mask pattern.
+    """
     r, s, t = degree
-    ambient = monomial_basis(n, degree)
-    index = {m: i for i, m in enumerate(ambient)}
+    width = r.bit_length()
+    ambient = _monomial_codes(n, degree, width)
+    index = {code: i for i, code in enumerate(ambient)}
     ncols = len(ambient)
+    low = (1 << 2 * n) - 1
+    half = (1 << n) - 1
     ech = _Echelon()
     for er, es, et in product(range(r + 1), range(s + 1), range(t + 1)):
         E = (er, es, et)
@@ -409,25 +444,23 @@ def _ideal_rank(n, group_kind, degree):
         invariants = invariant_subspace(n, group_kind, E)
         if not invariants:
             continue
-        inv_basis = monomial_basis(n, E)
-        complement = monomial_basis(n, (r - er, s - es, t - et))
+        inv_codes = _monomial_codes(n, E, width)
+        complement = _monomial_codes(n, (r - er, s - es, t - et), width)
         for vec in invariants:
-            factors = [(inv_basis[col], coeff) for col, coeff in vec.items()]
-            for mono in complement:
-                row = {}
-                for factor, coeff in factors:
-                    result = multiply_monomials(factor, mono)
-                    if result is None:
-                        continue
-                    sign, prod_mono = result
-                    c = index[prod_mono]
-                    new = row.get(c, 0) + sign * coeff
-                    if new:
-                        row[c] = new
-                    else:
-                        del row[c]
-                if row:
-                    ech.insert(row)
+            factors = [(inv_codes[col], coeff) for col, coeff in vec.items()]
+            by_masks = {}
+            for code in complement:
+                masks = code & low
+                terms = by_masks.get(masks)
+                if terms is None:
+                    t2, f2 = masks >> n, masks & half
+                    terms = by_masks[masks] = [
+                        (fcode, coeff * _product_sign(fcode >> n & half, fcode & half, t2, f2))
+                        for fcode, coeff in factors
+                        if not fcode & masks
+                    ]
+                if terms:
+                    ech.insert({index[fcode + code]: c for fcode, c in terms})
                     if ech.rank == ncols:
                         return ncols
     return ech.rank

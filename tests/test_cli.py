@@ -113,6 +113,14 @@ def test_json_rows_match_one_dumps_of_the_whole_table(capsys, rows):
     assert first_difference(capsys.readouterr().out, expected) is None
 
 
+@pytest.mark.parametrize("variant,n", [(v, n) for v in basis.VARIANTS for n in range(1, 5)])
+def test_basis_json_matches_one_dumps_of_the_whole_basis(capsys, variant, n):
+    code, out, err = run_cli(capsys, "basis", "--n", str(n), "--variant", variant, "--format", "json")
+    assert code == 0 and err == ""
+    expected = json.dumps([b.to_json() for b in basis.enumerate_basis(n, variant)], indent=2) + "\n"
+    assert first_difference(out, expected) is None
+
+
 def first_difference(out, expected):
     """None for equal texts, else the first differing line as (number, got, want).
 

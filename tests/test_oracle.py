@@ -1,6 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -43,15 +45,17 @@ def bit_loop_product(m1, m2):
 
 class RebuildingEchelon:
     """Fraction-free elimination that rebuilds the row at every step,
-    choosing each leading column with min()."""
+    choosing each leading column with `choose`: max, the oracle's rule, or
+    min, the smallest-column rule it replaced."""
 
-    def __init__(self):
+    def __init__(self, choose=max):
+        self.choose = choose
         self.pivots = {}
 
     def insert(self, row):
         row = {c: v for c, v in row.items() if v}
         while row:
-            lead = min(row)
+            lead = self.choose(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 g = 0
@@ -180,13 +184,96 @@ def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypa
         reference = RebuildingEchelon()
         for row in rows:
             reference.insert(row)
-        expected = tuple(row for _, row in sorted(reference.pivots.items()))
+        expected = tuple(row for _, row in sorted(reference.pivots.items(), reverse=True))
         del inserted[:]
         invariant_subspace.cache_clear()
         assert invariant_subspace(n, kind, degree) == expected, degree
         # it stops at full rank, after which every row is dependent
         assert inserted == rows[:len(inserted)], degree
         assert len(inserted) == len(rows) or len(expected) == len(ambient), degree
+
+
+def super_monomial_ideal_rows(n, kind, degree):
+    """Every nonzero row of the ideal piece, in `_ideal_rank`'s order, built
+    from SuperMonomial products by multiply_monomials."""
+    r, s, t = degree
+    index = {m: i for i, m in enumerate(monomial_basis(n, degree))}
+    for er, es, et in product(range(r + 1), range(s + 1), range(t + 1)):
+        if (er, es, et) == (0, 0, 0):
+            continue
+        inv_basis = monomial_basis(n, (er, es, et))
+        complement = monomial_basis(n, (r - er, s - es, t - et))
+        for vec in invariant_subspace(n, kind, (er, es, et)):
+            factors = [(inv_basis[col], coeff) for col, coeff in vec.items()]
+            for mono in complement:
+                row = {}
+                for factor, coeff in factors:
+                    result = multiply_monomials(factor, mono)
+                    if result is None:
+                        continue
+                    sign, prod_mono = result
+                    c = index[prod_mono]
+                    new = row.get(c, 0) + sign * coeff
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+                if row:
+                    yield row
+
+
+@pytest.mark.parametrize("kind,n", [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)])
+def test_ideal_rows_match_the_super_monomial_builder(kind, n, monkeypatch):
+    """The packed-code kernel inserts the same rows, in the same order."""
+    inserted = []
+    real_insert = oracle._Echelon.insert
+
+    def recording_insert(self, row):
+        inserted.append(dict(row))
+        return real_insert(self, row)
+
+    for degree in all_degrees(n, kind):
+        if degree == (0, 0, 0):
+            continue
+        # a first call fills the invariant caches, so the recorded call
+        # inserts ideal rows only
+        oracle._ideal_rank(n, kind, degree)
+        del inserted[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle._Echelon, "insert", recording_insert)
+            rank = oracle._ideal_rank(n, kind, degree)
+        rows = super_monomial_ideal_rows(n, kind, degree)
+        assert inserted == list(islice(rows, len(inserted))), degree
+        # it stops only at full rank
+        assert next(rows, None) is None or rank == len(monomial_basis(n, degree)), degree
+
+
+# sha256 of json.dumps(report) from hilbert_via_oracle, recorded with the
+# smallest-column pivot rule and the SuperMonomial row builder
+ORACLE_REPORT_SHA256 = {
+    ("a", 1): "a07d5d74519d6fc5cdb363153c9626943a5aa183f94e0f7ed949ed47db634a11",
+    ("a", 2): "2faf98e5399d7b25a5df7d4ee9cec4238137b91dd7363ea6b2a305712c35ae57",
+    ("a", 3): "1feb03c3237e085df050d21fd80e1e43f101cf9b719f6e6ab520f0ea3aa18543",
+    ("b", 1): "eae6b5ad6ec3420843bfa2368376aed37e1940b2c258a8db86fcb58e3e415124",
+    ("b", 2): "cb2e45b09c2aabf24061c2e1d69eca6d7324833f0a1b0932d7ed95901987acfa",
+    ("b", 3): "2df49e0d56caa90261bae55121f0360d75afc9e51f87d632c90a599ae19c7a67",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(ORACLE_REPORT_SHA256))
+def test_oracle_report_is_unchanged(kind, n):
+    _, complete, report = hilbert_via_oracle(n, kind)
+    assert complete
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == ORACLE_REPORT_SHA256[kind, n]
+
+
+def test_type_a_n4_pieces_match_conjecture():
+    """Three pieces that the ideal fills and one with a five-dimensional
+    quotient."""
+    series = basis.hilbert_series(4, "a12")
+    for degree in ((5, 2, 1), (7, 1, 0), (3, 2, 1), (3, 1, 1)):
+        assert quotient_dimension(4, "a", degree) == series.coefficient(*degree), degree
 
 
 def test_rank_of_rows_matches_fraction_elimination():
@@ -206,8 +293,14 @@ def test_rank_of_rows_matches_fraction_elimination():
                 combo = {c: ka * a.get(c, 0) + kb * b.get(c, 0) for c in set(a) | set(b)}
                 rows.insert(rng.randint(0, len(rows)), combo)
         copies = [dict(row) for row in rows]
-        assert rank_of_rows(rows) == fraction_rank(rows, ncols)
+        rank = rank_of_rows(rows)
+        assert rank == fraction_rank(rows, ncols)
         assert rows == copies  # the caller's rows are not modified
+        # the rank does not depend on the pivot rule
+        smallest = RebuildingEchelon(min)
+        for row in rows:
+            smallest.insert(row)
+        assert len(smallest.pivots) == rank
 
 
 def test_echelon_stores_the_rebuilding_pivot_rows():
