@@ -8,6 +8,11 @@ deterministic: fixed monomial order, fixed pivot rule (the largest column
 of each row, which in `monomial_basis` order is its x_1-heaviest
 monomial), no floats.
 
+Every graded piece, alone or in a window, takes one path: its size comes
+from the closed form `ambient_size` and is checked against
+`DEFAULT_MONOMIAL_CAP` before anything is eliminated (for a window, before
+its first piece), and its rank from `_ideal_rank`.
+
 The hot paths are exact shortcuts of the plain definitions, which stay as
 the references the tests compare them with: invariants symmetrize one
 monomial per orbit through a precomputed action table (`reynolds`,
@@ -18,8 +23,8 @@ the fermionic sign is read from a memo (`multiply_monomials`).
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import permutations, product
-from math import gcd
+from itertools import permutations, product, repeat
+from math import comb, gcd
 from operator import add
 
 from .qpoly import QuvPolynomial
@@ -48,13 +53,6 @@ class SuperMonomial(tuple):
     @property
     def xmask(self):
         return self[2]
-
-    def degree(self):
-        return (sum(self[0]), _popcount(self[1]), _popcount(self[2]))
-
-
-def _popcount(mask):
-    return mask.bit_count()
 
 
 def _mask_bits(mask):
@@ -85,8 +83,8 @@ def monomial_basis(n, degree):
     r, s, t = degree
     if s > n or t > n:
         return ()
-    masks_s = [m for m in range(1 << n) if _popcount(m) == s]
-    masks_t = [m for m in range(1 << n) if _popcount(m) == t]
+    masks_s = [m for m in range(1 << n) if m.bit_count() == s]
+    masks_t = [m for m in range(1 << n) if m.bit_count() == t]
     out = []
     for xexp in _compositions_of(r, n):
         for tm in masks_s:
@@ -106,6 +104,15 @@ def symmetric_group(n):
 def hyperoctahedral_group(n):
     """Signed permutations as (perm, signflags); signflags bit i negates slot i."""
     return tuple((perm, flags) for perm in permutations(range(n)) for flags in range(1 << n))
+
+
+def _signed_group(n, group_kind):
+    """The group of one kind as (perm, signflags) pairs; type A negates nothing."""
+    if group_kind == "a":
+        return [(perm, 0) for perm in symmetric_group(n)]
+    if group_kind == "b":
+        return hyperoctahedral_group(n)
+    raise ValueError("group_kind must be 'a' or 'b'")
 
 
 def _permute_mask(mask, perm):
@@ -156,19 +163,13 @@ def group_action(g, mono, signed=False):
 def _action_table(n, group_kind):
     """The group of one kind as (inverse perm, negated slots, mask images).
 
-    One entry per group element, in the order of `symmetric_group` or
-    `hyperoctahedral_group`; mask_images[mask] is `_permute_mask(mask, perm)`,
+    One entry per group element, in the order of `_signed_group`;
+    mask_images[mask] is `_permute_mask(mask, perm)`,
     so the fermionic part of the action becomes two lookups.
     """
-    if group_kind == "a":
-        elements = [(perm, 0) for perm in symmetric_group(n)]
-    elif group_kind == "b":
-        elements = hyperoctahedral_group(n)
-    else:
-        raise ValueError("group_kind must be 'a' or 'b'")
     mask_images = {}
     table = []
-    for perm, flags in elements:
+    for perm, flags in _signed_group(n, group_kind):
         if perm not in mask_images:
             mask_images[perm] = tuple(_permute_mask(mask, perm) for mask in range(1 << n))
         inverse = [0] * n
@@ -257,24 +258,13 @@ def reynolds(mono, n, group_kind):
     when the orbit sum cancels.
     """
     out = {}
-    if group_kind == "a":
-        for g in symmetric_group(n):
-            sign, image = group_action(g, mono)
-            new = out.get(image, 0) + sign
-            if new:
-                out[image] = new
-            else:
-                del out[image]
-    elif group_kind == "b":
-        for g in hyperoctahedral_group(n):
-            sign, image = group_action(g, mono, signed=True)
-            new = out.get(image, 0) + sign
-            if new:
-                out[image] = new
-            else:
-                del out[image]
-    else:
-        raise ValueError("group_kind must be 'a' or 'b'")
+    for g in _signed_group(n, group_kind):
+        sign, image = group_action(g, mono, signed=True)
+        new = out.get(image, 0) + sign
+        if new:
+            out[image] = new
+        else:
+            del out[image]
     return out
 
 
@@ -394,10 +384,25 @@ def invariant_subspace(n, group_kind, degree):
     return tuple(dict(row) for _, row in sorted(ech.pivots.items(), reverse=True))
 
 
+# Largest graded piece the oracle eliminates, in ambient monomials.
 DEFAULT_MONOMIAL_CAP = 50000
 
 
-def quotient_dimension(n, group_kind, degree, max_x_degree=None, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def ambient_size(n, degree):
+    """len(monomial_basis(n, degree)), from the closed form without building it."""
+    r, s, t = degree
+    return comb(r + n - 1, n - 1) * comb(n, s) * comb(n, t)
+
+
+def _check_cap(n, degree):
+    size = ambient_size(n, degree)
+    if size > DEFAULT_MONOMIAL_CAP:
+        raise RuntimeError(
+            "graded piece %r has %d monomials, over the cap %d" % (degree, size, DEFAULT_MONOMIAL_CAP)
+        )
+
+
+def quotient_dimension(n, group_kind, degree):
     """Dimension of one multigraded piece of the coinvariant quotient.
 
     The ideal piece in degree D is spanned by all products of an invariant
@@ -405,19 +410,8 @@ def quotient_dimension(n, group_kind, degree, max_x_degree=None, monomial_cap=DE
     positive grading makes this exact with no truncation error.  The
     quotient dimension is the ambient count minus the exact rank.
     """
-    r, s, t = degree
-    if max_x_degree is not None and r > max_x_degree:
-        raise ValueError("degree %r exceeds max_x_degree=%d" % (degree, max_x_degree))
-    ambient = monomial_basis(n, degree)
-    if len(ambient) > monomial_cap:
-        raise RuntimeError(
-            "graded piece %r has %d monomials, over the cap %d; "
-            "raise monomial_cap to proceed" % (degree, len(ambient), monomial_cap)
-        )
-    if degree == (0, 0, 0):
-        return 1
-    rank = _ideal_rank(n, group_kind, degree)
-    return len(ambient) - rank
+    _check_cap(n, degree)
+    return ambient_size(n, degree) - _ideal_rank(n, group_kind, degree)
 
 
 def _ideal_rank(n, group_kind, degree):
@@ -472,63 +466,37 @@ def default_max_x_degree(n, group_kind):
     return top + 2
 
 
-def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
     """Assemble the quotient Hilbert series over all multidegrees.
 
     Scans x-degrees up to max_x_degree (default: conjectured top plus two)
     and all fermionic degrees up to n.  Returns (polynomial, complete,
     report) where complete is True iff every piece in the top two x-degrees
-    vanished, and report lists one dict per multidegree.
+    vanished, and report lists one dict per multidegree.  Every piece is
+    checked against the monomial cap before the first is eliminated.
     """
     if max_x_degree is None:
         max_x_degree = default_max_x_degree(n, group_kind)
-    degrees = [
-        (r, s, t)
-        for r in range(max_x_degree + 1)
-        for s in range(n + 1)
-        for t in range(n + 1)
-    ]
+    if max_x_degree < 0:
+        raise ValueError("max_x_degree must be at least 0, not %d" % max_x_degree)
+    degrees = list(product(range(max_x_degree + 1), range(n + 1), range(n + 1)))
+    for degree in degrees:
+        _check_cap(n, degree)
+    pieces = (repeat(n), repeat(group_kind), degrees)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(n, group_kind, d, max_x_degree, monomial_cap) for d in degrees]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_quotient_entry, args, chunksize=8))
+            report = list(pool.map(_quotient_entry, *pieces, chunksize=8))
     else:
-        results = [_quotient_entry((n, group_kind, d, max_x_degree, monomial_cap)) for d in degrees]
-    results.sort(key=lambda row: row["degree"])
-    terms = {}
-    complete = True
-    for row in results:
-        r, s, t = row["degree"]
-        dim = row["quotient"]
-        if dim:
-            terms[(r, s, t)] = dim
-            if r >= max_x_degree - 1:
-                complete = False
-    poly = QuvPolynomial(terms)
-    report = [
-        {"degree": list(row["degree"]), "ambient": row["ambient"],
-         "ideal_rank": row["ideal_rank"], "quotient": row["quotient"]}
-        for row in results
-    ]
-    return poly, complete, report
+        report = list(map(_quotient_entry, *pieces))
+    terms = {tuple(row["degree"]): row["quotient"] for row in report if row["quotient"]}
+    complete = all(r < max_x_degree - 1 for r, _, _ in terms)
+    return QuvPolynomial(terms), complete, report
 
 
-def _quotient_entry(args):
-    n, group_kind, degree, max_x_degree, monomial_cap = args
-    ambient = monomial_basis(n, degree)
-    if len(ambient) > monomial_cap:
-        raise RuntimeError(
-            "graded piece %r has %d monomials, over the cap %d" % (degree, len(ambient), monomial_cap)
-        )
-    if degree == (0, 0, 0):
-        rank = 0
-    else:
-        rank = _ideal_rank(n, group_kind, degree)
-    return {
-        "degree": tuple(degree),
-        "ambient": len(ambient),
-        "ideal_rank": rank,
-        "quotient": len(ambient) - rank,
-    }
+def _quotient_entry(n, group_kind, degree):
+    """The report row of one piece, whose size the caller has checked."""
+    ambient = ambient_size(n, degree)
+    rank = _ideal_rank(n, group_kind, degree)
+    return {"degree": list(degree), "ambient": ambient, "ideal_rank": rank, "quotient": ambient - rank}

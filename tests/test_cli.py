@@ -268,6 +268,31 @@ def test_oracle_jobs_out_of_range_exits_2_before_any_work(capsys, monkeypatch, j
     assert "--jobs must be between 1 and the 2 CPUs" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_oracle_over_the_cap_exits_2_before_any_piece(capsys, monkeypatch, jobs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a piece was eliminated or a worker pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(oracle, "_ideal_rank", no_work)
+    code, out, err = run_cli(capsys, "oracle", "--n", "5", "--variant", "a12", "--long", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == "graded piece (9, 2, 2) has 71500 monomials, over the cap 50000\n"
+
+
+def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a piece was eliminated")
+
+    monkeypatch.setattr(oracle, "_ideal_rank", no_work)
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--max-x-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "max_x_degree must be at least 0" in err
+
+
 @pytest.mark.parametrize("command", ["basis", "hilbert", "frobenius", "bijection", "hook", "hmu", "verify"])
 def test_jobs_is_only_an_oracle_option(command):
     with pytest.raises(SystemExit) as exc:

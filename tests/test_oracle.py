@@ -10,6 +10,7 @@ import pytest
 from coinv import basis, oracle
 from coinv.oracle import (
     SuperMonomial,
+    ambient_size,
     default_max_x_degree,
     group_action,
     hilbert_via_oracle,
@@ -348,9 +349,21 @@ def test_quotient_dimensions_n2():
     assert quotient_dimension(2, "a", (1, 1, 0)) == 0
 
 
-def test_monomial_cap():
-    with pytest.raises(RuntimeError):
-        quotient_dimension(3, "a", (4, 1, 1), monomial_cap=10)
+def test_ambient_size_counts_the_monomial_basis():
+    for n in range(1, 5):
+        for degree in set(all_degrees(n, "a")) | set(all_degrees(n, "b")):
+            # the uncached builder, so the test holds no n=4 piece after it ends
+            assert ambient_size(n, degree) == len(monomial_basis.__wrapped__(n, degree)), (n, degree)
+
+
+def test_monomial_cap(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the over-cap piece was built")
+
+    monkeypatch.setattr(oracle, "monomial_basis", no_work)
+    monkeypatch.setattr(oracle, "_ideal_rank", no_work)
+    with pytest.raises(RuntimeError, match=r"\(9, 2, 2\) has 71500 monomials, over the cap 50000"):
+        quotient_dimension(5, "a", (9, 2, 2))
 
 
 def test_oracle_matches_conjecture_small():

@@ -82,8 +82,13 @@ def test_h_mu_dual_catches_a_wrong_h_mu_coefficient(monkeypatch):
 
 
 def test_sw_recursion_catches_a_wrong_sw_q(monkeypatch):
-    monkeypatch.setattr(smirnov, "sw_q", off_by_q(smirnov.sw_q))
-    assert verify.check_sw_recursion(3) is not None
+    sw_q = smirnov.sw_q
+    monkeypatch.setattr(smirnov, "sw_q", off_by_q(sw_q))
+    try:
+        assert verify.check_sw_recursion(3) is not None
+    finally:
+        # the cached sw_q recursed through the broken one
+        sw_q.cache_clear()
 
 
 def test_hook_h_dual_catches_a_wrong_hook_h_coefficient(monkeypatch):
@@ -123,6 +128,26 @@ def test_bijection_suite_catches_swapped_letters(monkeypatch):
 
     monkeypatch.setattr(smirnov, "psi", swapped)
     assert verify.check_bijection_suite(3) is not None
+
+
+def test_bijection_suite_catches_a_psi_that_is_not_injective(monkeypatch):
+    psi = smirnov.psi
+
+    def statistics(b):
+        return b.deg_theta, b.deg_xi, b.deg_x, basis.ascent_positions(b.alpha, b.theta, b.xi)
+
+    # two elements that every per-element statistic check accepts under
+    # each other's word, so only the round trip can tell them apart
+    by_statistics = {}
+    for b in basis.enumerate_basis(4, "a12"):
+        by_statistics.setdefault(statistics(b), []).append(b)
+    first, second = next(group for group in by_statistics.values() if len(group) > 1)[:2]
+
+    def merged(element):
+        return psi(first if element == second else element)
+
+    monkeypatch.setattr(smirnov, "psi", merged)
+    assert verify.check_bijection_suite(4) == "psi round trip fails at %s" % (second,)
 
 
 def test_frobenius_routes_catch_a_wrong_words_route(monkeypatch):
