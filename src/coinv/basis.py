@@ -106,77 +106,68 @@ _STEP_OF_BITS = {
 # -- staircase bounds --------------------------------------------------------
 
 
-def alpha_sequence(T, S, n):
-    """The generalized type A staircase for decoration sets T, S.
+def _heights(T, S, n, floor):
+    """The heights h_0 = 0, h_1, ..., h_n of the path with decoration sets
+    T and S, whose step i moves by 1 - [i in T] - [i in S].
 
-    Starts at 0 and steps by -1 + [i not in T] + [i not in S].  Raises
-    ValueError when (T, S) does not come from a valid type A path, which
-    surfaces as a negative entry (or a decoration in position 1).
+    Raises ValueError for a decoration outside {floor+1,...,n}, and at the
+    first step where the path dips below its floor: 1 in type A, where the
+    first step is the forced up-step, and 0 in type B.  Heights move by at
+    most 1 a step, so that is also where the staircase first goes negative.
     """
     T = frozenset(T)
     S = frozenset(S)
-    if 1 in T or 1 in S:
-        raise ValueError("type A paths start with an up-step; position 1 cannot carry a decoration")
-    if any(not 2 <= i <= n for i in T | S):
-        raise ValueError("decoration positions must lie in {2,...,n}")
-    seq = [0]
-    for i in range(2, n + 1):
-        nxt = seq[-1] - 1 + (i not in T) + (i not in S)
-        if nxt < 0:
+    if any(not floor < i <= n for i in T | S):
+        raise ValueError("decoration positions must lie in {%d,...,n}" % (floor + 1))
+    heights = [0]
+    for i in range(1, n + 1):
+        heights.append(heights[-1] + 1 - (i in T) - (i in S))
+        if heights[-1] < floor:
             raise ValueError("invalid (T, S): bound drops below 0 at position %d" % i)
-        seq.append(nxt)
-    return tuple(seq)
+    return heights
+
+
+def alpha_sequence(T, S, n):
+    """The generalized type A staircase for decoration sets T, S.
+
+    alpha_i = h_i - 1 along the type A path heights, so it starts at 0 and
+    steps by -1 + [i not in T] + [i not in S].  Raises ValueError when
+    (T, S) does not come from a valid type A path.
+    """
+    return tuple(h - 1 for h in _heights(T, S, n, 1)[1:])
 
 
 def beta_sequence(T, S, n):
     """The generalized type B staircase for decoration sets T, S.
 
-    Starts at -1 + [1 not in T] + [1 not in S]; later entries add
+    beta_i = h_{i-1} + h_i along the type B path heights, so it starts at
+    -1 + [1 not in T] + [1 not in S] and later entries add
     -2 + [i not in T] + [i-1 not in T] + [i not in S] + [i-1 not in S].
-    A negative entry means the underlying type B path dips below 0.
+    Raises ValueError when (T, S) does not come from a valid type B path.
     """
-    T = frozenset(T)
-    S = frozenset(S)
-    if any(not 1 <= i <= n for i in T | S):
-        raise ValueError("decoration positions must lie in {1,...,n}")
-    first = -1 + (1 not in T) + (1 not in S)
-    if first < 0:
-        raise ValueError("invalid (T, S): bound drops below 0 at position 1")
-    seq = [first]
-    for i in range(2, n + 1):
-        nxt = seq[-1] - 2 + (i not in T) + (i - 1 not in T) + (i not in S) + (i - 1 not in S)
-        if nxt < 0:
-            raise ValueError("invalid (T, S): bound drops below 0 at position %d" % i)
-        seq.append(nxt)
-    return tuple(seq)
+    heights = _heights(T, S, n, 0)
+    return tuple(a + b for a, b in zip(heights, heights[1:]))
+
+
+def _staircase(T, S, n, kind):
+    """alpha(T, S) for kind "a", beta(T, S) for kind "b"."""
+    if kind == "a":
+        return alpha_sequence(T, S, n)
+    if kind == "b":
+        return beta_sequence(T, S, n)
+    raise ValueError("kind must be 'a' or 'b'")
 
 
 def super_artin_bound(T, n, kind):
-    """The (1,1) staircase: alpha(T) for kind "a", beta(T) for kind "b"."""
-    T = frozenset(T)
-    if kind == "a":
-        if any(not 2 <= i <= n for i in T):
-            raise ValueError("type A (1,1) needs T inside {2,...,n}")
-        seq = [0]
-        for i in range(2, n + 1):
-            seq.append(seq[-1] + (i not in T))
-    elif kind == "b":
-        if any(not 1 <= i <= n for i in T):
-            raise ValueError("type B (1,1) needs T inside {1,...,n}")
-        seq = [1 if 1 not in T else 0]
-        for i in range(2, n + 1):
-            seq.append(seq[-1] + (i not in T) + (i - 1 not in T))
-    else:
-        raise ValueError("kind must be 'a' or 'b'")
-    return tuple(seq)
+    """The (1,1) staircase: alpha(T) for kind "a", beta(T) for kind "b",
+    the xi-free case S = {} of the generalized staircase."""
+    return _staircase(T, (), n, kind)
 
 
 def path_bound(path):
     """The staircase bound attached to a decorated path."""
     T, S = path.weight_sets()
-    if path.variant == "a":
-        return alpha_sequence(T, S, path.n)
-    return beta_sequence(T, S, path.n)
+    return _staircase(T, S, path.n, path.variant)
 
 
 def stair_q(path):
@@ -186,7 +177,7 @@ def stair_q(path):
 
 def stair_q_from_sets(T, S, n, kind):
     """stair_q given the decoration sets directly; kind "a" or "b"."""
-    return _stair_product(alpha_sequence(T, S, n) if kind == "a" else beta_sequence(T, S, n))
+    return _stair_product(_staircase(T, S, n, kind))
 
 
 def _stair_product(bound):

@@ -176,20 +176,24 @@ def cmd_bijection(args):
     return 0
 
 
+def _kl_pairs(args):
+    """The (k, l) pairs with k + l < n in lexicographic order, pinned to
+    --k and --l where they are given."""
+    for k in [args.k] if args.k is not None else range(args.n):
+        for l in [args.l] if args.l is not None else range(args.n - k):
+            if k + l < args.n:
+                yield k, l
+
+
 def cmd_hook(args):
     _check_kl(args)
     rows = []
     ds = [args.d] if args.d is not None else range(args.n)
     for d in ds:
-        ks = [args.k] if args.k is not None else range(args.n)
-        for k in ks:
-            ls = [args.l] if args.l is not None else range(args.n - k)
-            for l in ls:
-                if k + l >= args.n:
-                    continue
-                enum = symfun.hook_schur_coefficient(args.n, k, l, d)
-                closed = symfun.hook_qbinomial_formula(args.n, k, l, d)
-                rows.append((d, k, l, str(enum), str(closed), enum == closed))
+        for k, l in _kl_pairs(args):
+            enum = symfun.hook_schur_coefficient(args.n, k, l, d)
+            closed = symfun.hook_qbinomial_formula(args.n, k, l, d)
+            rows.append((d, k, l, str(enum), str(closed), enum == closed))
     _print_rows(rows, ("d", "k", "l", "enumeration", "q_binomial_form", "equal"), args.format)
     return 0 if all(r[5] for r in rows) else 1
 
@@ -203,14 +207,7 @@ def cmd_hmu(args):
     if mu.n != args.n:
         return _fail("--mu must be a partition of n=%d" % args.n)
     _check_kl(args)
-    rows = []
-    ks = [args.k] if args.k is not None else range(args.n)
-    for k in ks:
-        ls = [args.l] if args.l is not None else range(args.n - k)
-        for l in ls:
-            if k + l >= args.n:
-                continue
-            rows.append((k, l, str(symfun.h_mu_coefficient(args.n, k, l, mu))))
+    rows = [(k, l, str(symfun.h_mu_coefficient(args.n, k, l, mu))) for k, l in _kl_pairs(args)]
     _print_rows(rows, ("k", "l", "coefficient"), args.format)
     return 0
 

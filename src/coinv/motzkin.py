@@ -12,8 +12,6 @@ UP, HTHETA, HXI, DOWN = range(4)
 
 STEP_CHARS = "UTXD"
 STEP_DELTA = (1, 0, 0, -1)
-# how many decorations (theta and/or xi) each step kind carries
-STEP_DECORATIONS = (0, 1, 1, 2)
 
 
 @dataclass(frozen=True)

@@ -129,17 +129,14 @@ def _permute_mask(mask, perm):
     return sign, new_mask
 
 
-def group_action(g, mono, signed=False):
-    """Image of a monomial under a plain or signed permutation.
+def group_action(g, mono):
+    """Image of a monomial under a signed permutation g = (perm, signflags).
 
-    g is a permutation tuple, or (perm, signflags) when signed.  The sign
-    collects the fermionic reordering parity and, in the signed case,
-    (-1) per negated variable counted with its total exponent.
+    The sign collects the fermionic reordering parity and (-1) per negated
+    variable counted with its total exponent; type A elements negate
+    nothing (signflags 0).
     """
-    if signed:
-        perm, flags = g
-    else:
-        perm, flags = g, 0
+    perm, flags = g
     xexp = mono.xexp
     n = len(xexp)
     new_x = [0] * n
@@ -259,7 +256,7 @@ def reynolds(mono, n, group_kind):
     """
     out = {}
     for g in _signed_group(n, group_kind):
-        sign, image = group_action(g, mono, signed=True)
+        sign, image = group_action(g, mono)
         new = out.get(image, 0) + sign
         if new:
             out[image] = new

@@ -127,12 +127,6 @@ class QuvPolynomial:
                 terms.pop(key, None)
         return _trusted(terms)
 
-    def degrees(self):
-        """Return the componentwise maximum exponent triple (0,0,0) if zero."""
-        if not self.terms:
-            return (0, 0, 0)
-        return tuple(max(k[i] for k in self.terms) for i in range(3))
-
     def sorted_terms(self):
         """Terms in canonical (ascending lexicographic) order."""
         return sorted(self.terms.items())
@@ -146,9 +140,9 @@ class QuvPolynomial:
             for (a, b, c), co in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json(cls, records):
-        return cls({(r["q"], r["u"], r["v"]): int(r["coeff"]) for r in records})
+    @staticmethod
+    def from_json(records):
+        return QuvPolynomial({(r["q"], r["u"], r["v"]): int(r["coeff"]) for r in records})
 
     def __str__(self):
         """Human-readable form, e.g. "q^2 + 3q + 2" (descending term order)."""
@@ -214,14 +208,6 @@ def _coerce(value):
 
 ZERO = QuvPolynomial()
 ONE = QuvPolynomial({(0, 0, 0): 1})
-Q = QuvPolynomial({(1, 0, 0): 1})
-U = QuvPolynomial({(0, 1, 0): 1})
-V = QuvPolynomial({(0, 0, 1): 1})
-
-
-def monomial(coeff, a=0, b=0, c=0):
-    """The polynomial coeff * q^a u^b v^c."""
-    return QuvPolynomial({(a, b, c): coeff})
 
 
 def q_power(a):

@@ -8,11 +8,9 @@ the xi-degree and the sminversion count to the x-degree.
 """
 
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 from .basis import BasisElement
-from .combinat import IndexSubset
 from .qpoly import ZERO, q_integer
 
 
@@ -188,87 +186,63 @@ def word_statistics(word):
     return k, l, _sminv_count(w, initial), _split_values(w, _thick_flags(w, initial))
 
 
-def split_set(word):
-    """The splitting values as an IndexSubset."""
-    return IndexSubset(split_positions(word), word.n)
-
-
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_segmented_permutations(n, k=None, l=None):
-    """All 2^(n-1) n! segmented permutations of {1,...,n}.
+def _arrangements(counts, prefix):
+    """Yield prefix + w for every word w of content `counts`, lexicographically."""
+    if not any(counts):
+        yield prefix
+        return
+    for letter, count in enumerate(counts, 1):
+        if count:
+            counts[letter - 1] -= 1
+            yield from _arrangements(counts, prefix + (letter,))
+            counts[letter - 1] += 1
 
-    Ordered by underlying permutation (lexicographic) and then by the
-    bitmask of the split set.  Passing k and/or l filters on the ascent
-    and descent counts.
+
+def iter_segmented_words(content):
+    """Yield every segmented Smirnov word of the given content vector.
+
+    content[i] is the multiplicity of the letter i+1; content (1^n) gives
+    the segmented permutations.  Words come ordered by letters
+    (lexicographic) and then by the bitmask of the split set, where a bar
+    is forced between equal neighbours.  A single pass holds one word at
+    a time.
     """
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for mask in range(1 << (n - 1)):
-            splits = tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
-            word = SegmentedWord(perm, splits)
-            if k is not None or l is not None:
-                ka, la = ascent_descent_counts(word)
-                if k is not None and ka != k:
-                    continue
-                if l is not None and la != l:
-                    continue
-            out.append(word)
-    return out
+    n = sum(content)
+    if n < 1 or min(content) < 0:
+        raise ValueError("needs a nonempty content of nonnegative multiplicities")
+    # every split set, indexed by its bitmask: bit i-1 marks a bar after i
+    splits_of = [tuple(i + 1 for i in range(n - 1) if mask >> i & 1) for mask in range(1 << (n - 1))]
+    new = tuple.__new__  # skips SegmentedWord's Python-level __new__, as iter_basis does
+    for letters in _arrangements(list(content), ()):
+        forced = sum(1 << i for i in range(n - 1) if letters[i] == letters[i + 1])
+        for mask, splits in enumerate(splits_of):
+            if mask & forced == forced:
+                yield new(SegmentedWord, (letters, splits))
 
 
 def enumerate_segmented_words(content, k=None, l=None):
-    """All segmented Smirnov words of the given content vector.
+    """All segmented Smirnov words of the given content vector, as a list.
 
-    content[i] is the multiplicity of the letter i+1.  The Smirnov
-    condition (no equal adjacent letters inside a block) is enforced;
-    ordering is by letters, then split bitmask.
+    Ordered as iter_segmented_words yields them.  Passing k and/or l
+    filters on the ascent and descent counts.
     """
-    n = sum(content)
-    if n < 1:
-        raise ValueError("needs a nonempty content")
-    words = []
-
-    def rec(prefix, counts):
-        if len(prefix) == n:
-            words.append(tuple(prefix))
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1] == 0:
-                continue
-            counts[letter - 1] -= 1
-            prefix.append(letter)
-            rec(prefix, counts)
-            prefix.pop()
-            counts[letter - 1] += 1
-
-    rec([], list(content))
-
     out = []
-    for letters in words:
-        equal_adjacent = [i + 1 for i in range(n - 1) if letters[i] == letters[i + 1]]
-        forced = 0
-        for p in equal_adjacent:
-            forced |= 1 << (p - 1)
-        free = [i for i in range(n - 1) if not forced >> i & 1]
-        for mask in range(1 << len(free)):
-            bits = forced
-            for idx, i in enumerate(free):
-                if mask >> idx & 1:
-                    bits |= 1 << i
-            splits = tuple(i + 1 for i in range(n - 1) if bits >> i & 1)
-            word = SegmentedWord(letters, splits)
-            if k is not None or l is not None:
-                ka, la = ascent_descent_counts(word)
-                if k is not None and ka != k:
-                    continue
-                if l is not None and la != l:
-                    continue
-            out.append(word)
+    for word in iter_segmented_words(content):
+        if k is not None or l is not None:
+            ka, la = ascent_descent_counts(word)
+            if k not in (None, ka) or l not in (None, la):
+                continue
+        out.append(word)
     return out
+
+
+def enumerate_segmented_permutations(n, k=None, l=None):
+    """All 2^(n-1) n! segmented permutations of {1,...,n}: the segmented
+    Smirnov words of content (1^n), filtered on k and l alike."""
+    return enumerate_segmented_words((1,) * n, k, l)
 
 
 # -- the q-count recursion -------------------------------------------------------

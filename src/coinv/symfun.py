@@ -80,9 +80,6 @@ class SchurExpansion:
         else:
             self.coeffs.pop(partition, None)
 
-    def coefficient(self, partition):
-        return self.coeffs.get(partition, ZERO)
-
     def sorted_items(self):
         """Partitions in lexicographic ascending order (columns first)."""
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].parts)
@@ -127,7 +124,7 @@ def frobenius_qsym(n, k=None, l=None, route="basis"):
                 out.add(_subset_of_mask(mask, n), poly)
     elif route == "words":
         tallies = {}  # split values -> {(sminv, k, l): number of words}
-        for word in smirnov.enumerate_segmented_permutations(n):
+        for word in smirnov.iter_segmented_words((1,) * n):
             dk, dl, inv, split = smirnov.word_statistics(word)
             if k is not None and dk != k:
                 continue

@@ -227,8 +227,7 @@ def check_count_type_b_refined(n):
 
 def check_bijection_suite(n):
     for m in range(1, n + 1):
-        # only the count is kept, so the words are not held during the loop
-        count = len(smirnov.enumerate_segmented_permutations(m))
+        count = sum(1 for _ in smirnov.iter_segmented_words((1,) * m))
         if count != (1 << (m - 1)) * factorial(m):
             return "segmented permutation count wrong at n=%d" % m
         elements = basis.enumerate_basis(m, "a12")
@@ -259,7 +258,7 @@ def check_bijection_suite(n):
 def check_sw_recursion(n):
     for m in range(1, n + 1):
         counts = {}  # (k, l) -> {sminv: number of words}
-        for word in smirnov.enumerate_segmented_permutations(m):
+        for word in smirnov.iter_segmented_words((1,) * m):
             letters = word.letters
             initial = smirnov._initial_flags(word)
             by_inv = counts.setdefault(smirnov._rise_fall_counts(letters, initial), {})

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import chain, combinations, product
 from math import comb, factorial
 
 import pytest
@@ -46,6 +46,104 @@ def test_beta_sequence():
     assert beta_sequence((), (), 2) == (1, 3)
     with pytest.raises(ValueError):
         beta_sequence({1}, {1}, 1)  # the length-1 down-step path
+
+
+def reference_alpha_sequence(T, S, n):
+    """The step loop that the height walk of alpha_sequence replaced."""
+    T = frozenset(T)
+    S = frozenset(S)
+    if 1 in T or 1 in S:
+        raise ValueError("type A paths start with an up-step; position 1 cannot carry a decoration")
+    if any(not 2 <= i <= n for i in T | S):
+        raise ValueError("decoration positions must lie in {2,...,n}")
+    seq = [0]
+    for i in range(2, n + 1):
+        nxt = seq[-1] - 1 + (i not in T) + (i not in S)
+        if nxt < 0:
+            raise ValueError("invalid (T, S): bound drops below 0 at position %d" % i)
+        seq.append(nxt)
+    return tuple(seq)
+
+
+def reference_beta_sequence(T, S, n):
+    """The step loop that the height walk of beta_sequence replaced."""
+    T = frozenset(T)
+    S = frozenset(S)
+    if any(not 1 <= i <= n for i in T | S):
+        raise ValueError("decoration positions must lie in {1,...,n}")
+    first = -1 + (1 not in T) + (1 not in S)
+    if first < 0:
+        raise ValueError("invalid (T, S): bound drops below 0 at position 1")
+    seq = [first]
+    for i in range(2, n + 1):
+        nxt = seq[-1] - 2 + (i not in T) + (i - 1 not in T) + (i not in S) + (i - 1 not in S)
+        if nxt < 0:
+            raise ValueError("invalid (T, S): bound drops below 0 at position %d" % i)
+        seq.append(nxt)
+    return tuple(seq)
+
+
+def reference_super_artin_bound(T, n, kind):
+    """The (1,1) loops that super_artin_bound replaced with the S = {} staircase."""
+    T = frozenset(T)
+    if kind == "a":
+        if any(not 2 <= i <= n for i in T):
+            raise ValueError("type A (1,1) needs T inside {2,...,n}")
+        seq = [0]
+        for i in range(2, n + 1):
+            seq.append(seq[-1] + (i not in T))
+    elif kind == "b":
+        if any(not 1 <= i <= n for i in T):
+            raise ValueError("type B (1,1) needs T inside {1,...,n}")
+        seq = [1 if 1 not in T else 0]
+        for i in range(2, n + 1):
+            seq.append(seq[-1] + (i not in T) + (i - 1 not in T))
+    else:
+        raise ValueError("kind must be 'a' or 'b'")
+    return tuple(seq)
+
+
+def reference_path_bound(path):
+    T, S = path.weight_sets()
+    if path.variant == "a":
+        return reference_alpha_sequence(T, S, path.n)
+    return reference_beta_sequence(T, S, path.n)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc if "drops below 0" in str(exc) else "ValueError"
+
+
+def position_sets(n):
+    """Every subset of {0, ..., n+1}: the valid positions and one beyond each end."""
+    positions = range(n + 2)
+    return list(chain.from_iterable(combinations(positions, r) for r in range(n + 3)))
+
+
+def test_staircases_match_the_replaced_loops():
+    """Same bounds and the same refusals, at the same position, on every
+    (T, S) with entries in {0, ..., n+1}."""
+    for n in range(1, 6):
+        sets = position_sets(n)
+        for T, S in product(sets, sets):
+            assert outcome(alpha_sequence, T, S, n) == outcome(reference_alpha_sequence, T, S, n), (T, S)
+            assert outcome(beta_sequence, T, S, n) == outcome(reference_beta_sequence, T, S, n), (T, S)
+    for n in range(1, 7):
+        for kind in ("a", "b"):
+            for path in motzkin.enumerate_paths(n, kind):
+                assert path_bound(path) == reference_path_bound(path), path
+
+
+def test_super_artin_bound_is_the_xi_free_staircase():
+    for n in range(1, 9):
+        for T in position_sets(n):
+            for kind in ("a", "b", "c"):
+                expected = outcome(reference_super_artin_bound, T, n, kind)
+                assert outcome(super_artin_bound, T, n, kind) == expected, (T, n, kind)
 
 
 def test_stair_q():
@@ -176,7 +274,7 @@ def reference_enumerate_basis(n, variant):
     if variant in ("a12", "b12"):
         for path in motzkin.enumerate_paths(n, variant[0]):
             theta, xi = basis._bits_of_path(path)
-            for alpha in product(*(range(b + 1) for b in path_bound(path))):
+            for alpha in product(*(range(b + 1) for b in reference_path_bound(path))):
                 out.append(BasisElement(alpha, theta, xi, variant))
     elif variant == "a02":
         for path in motzkin.enumerate_paths(n, "a"):
@@ -186,7 +284,7 @@ def reference_enumerate_basis(n, variant):
         lowest = 2 if variant == "a11" else 1
         for theta in basis._subset_bits(n, lowest):
             T = frozenset(i + 1 for i, b in enumerate(theta) if b)
-            for alpha in product(*(range(b + 1) for b in super_artin_bound(T, n, variant[0]))):
+            for alpha in product(*(range(b + 1) for b in reference_super_artin_bound(T, n, variant[0]))):
                 out.append(BasisElement(alpha, theta, (0,) * n, variant))
     return out
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -192,6 +193,37 @@ def test_hmu(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1] == ["0", "0", "1"]
+
+
+# sha256 of the stdout of the (k, l) tables, recorded before hook and hmu
+# shared one pair loop.
+KL_TABLE_SHA256 = {
+    ("hook --n 5", "text", ""): "1cfea2ee9fed8c4fafcae39b21b8662c6f6450bd842e95dfa28b5a3e7182ff07",
+    ("hook --n 5", "csv", ""): "acfbe59fb540d772309364acf2176bb3d03c1cf5db2a61dfc10f0548a6f45bfc",
+    ("hook --n 5", "json", ""): "321a4e6b04d028f4aecda59fe1f093a2d433e39a4a2dffc405272c70accd88b8",
+    ("hook --n 5", "text", "--k 1"): "4eef1c2b7505f7910706423ee683b4ca0d62cde1127c649611d2e977a6797b7a",
+    ("hook --n 5", "csv", "--k 1"): "42db9a416e93705fe22b34b9ede3b171983c1d6f0d4ff2d028bfefd17a272f98",
+    ("hook --n 5", "json", "--k 1"): "68a71127fcd7f6ccc33375dd5ca1457e211166daea6dd91c5aa689c06ca4034e",
+    ("hook --n 5", "text", "--l 2"): "1eb3ab56520791e72abd6f3e1dddf604ac0c3614abe05d541f278e0d268132b6",
+    ("hook --n 5", "csv", "--l 2"): "64e1df0b1bc3d90650cfdc3919c371d86da1c2930aab6920e9f943e9de97882c",
+    ("hook --n 5", "json", "--l 2"): "79e2c2982a118332acfb14f773ece7cdf6bdf2e8df3025e9c4afcfb62c9bea85",
+    ("hmu --n 5 --mu 2,2,1", "text", ""): "96a2deb5ea16d2414979334d79d82988b8a5e365eddbeaa4c45877e6efe5e0ce",
+    ("hmu --n 5 --mu 2,2,1", "csv", ""): "5904f0dfed1589f2564389be4090a8971df938d88a6f9619e05caae29855ba3d",
+    ("hmu --n 5 --mu 2,2,1", "json", ""): "bec923e44f7faa67bdc3ad08b69a9fab30461e7f53f974a37db2cdde72bb820a",
+    ("hmu --n 5 --mu 2,2,1", "text", "--k 1"): "28080d308a61b36cdfe135fd8fac692d9f3f64b9d93bb8c08449c5800e5800ef",
+    ("hmu --n 5 --mu 2,2,1", "csv", "--k 1"): "7500df020942fab2c2354f3b6cb4381b87d415373e85fbaab2edac3056cac5b6",
+    ("hmu --n 5 --mu 2,2,1", "json", "--k 1"): "49cec00a801d4de07b32ae4abc76bc22fdbe14363e922f967f78bc17f3fc9d54",
+    ("hmu --n 5 --mu 2,2,1", "text", "--l 2"): "7690ebc66520984837040fca15adea40262d5fc1d36605000a878a4ba5003035",
+    ("hmu --n 5 --mu 2,2,1", "csv", "--l 2"): "e1ebfa5aef3a3f4c43a9cbb58ea82cc5c5397d567aa026bb0a23198959150bb6",
+    ("hmu --n 5 --mu 2,2,1", "json", "--l 2"): "21d7d5ea1d7ed04a3fd8e5f970c5edea281744edbae222654688104e720745b5",
+}
+
+
+@pytest.mark.parametrize("command,fmt,extra", sorted(KL_TABLE_SHA256))
+def test_kl_tables_are_unchanged(capsys, command, fmt, extra):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt, *extra.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KL_TABLE_SHA256[command, fmt, extra]
 
 
 def test_hmu_rejects_bad_mu(capsys):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coinv.qpoly import (
@@ -104,6 +109,21 @@ def test_json_round_trip():
     assert records == sorted(records, key=lambda r: (r["q"], r["u"], r["v"]))
     assert all(isinstance(r["coeff"], str) for r in records)
     assert QuvPolynomial.from_json(records) == p
+
+
+def test_from_json_round_trips_under_the_perfbench_tracer():
+    """perfbench's tracer rewraps every method; from_json must survive it."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import tracing\n"
+        "from coinv.qpoly import QuvPolynomial\n"
+        "tracing.install(tracing.Tracer())\n"
+        "p = QuvPolynomial({(1, 0, 2): 3, (0, 1, 0): -1})\n"
+        "assert QuvPolynomial.from_json(p.to_json()) == p\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_immutability_and_hash():

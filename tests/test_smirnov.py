@@ -1,4 +1,4 @@
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 from math import factorial
 
 import pytest
@@ -12,6 +12,7 @@ from coinv.smirnov import (
     enumerate_segmented_permutations,
     enumerate_segmented_words,
     format_word,
+    iter_segmented_words,
     parse_word,
     psi,
     psi_inverse,
@@ -288,6 +289,102 @@ def test_kernels_match_reference_on_smirnov_words():
             assert ascent_descent_counts(word) == reference_ascent_descent_counts(word), word
             fired |= rules_fired(word)
     assert fired == {1, 2, 3, 4}
+
+
+def reference_enumerate_segmented_permutations(n, k=None, l=None):
+    """The permutation loop that enumerate_segmented_permutations replaced."""
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        for mask in range(1 << (n - 1)):
+            splits = tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+            word = SegmentedWord(perm, splits)
+            if k is not None or l is not None:
+                ka, la = ascent_descent_counts(word)
+                if k is not None and ka != k:
+                    continue
+                if l is not None and la != l:
+                    continue
+            out.append(word)
+    return out
+
+
+def reference_enumerate_segmented_words(content, k=None, l=None):
+    """The list-building enumerator that iter_segmented_words replaced."""
+    n = sum(content)
+    if n < 1:
+        raise ValueError("needs a nonempty content")
+    words = []
+
+    def rec(prefix, counts):
+        if len(prefix) == n:
+            words.append(tuple(prefix))
+            return
+        for letter in range(1, len(counts) + 1):
+            if counts[letter - 1] == 0:
+                continue
+            counts[letter - 1] -= 1
+            prefix.append(letter)
+            rec(prefix, counts)
+            prefix.pop()
+            counts[letter - 1] += 1
+
+    rec([], list(content))
+
+    out = []
+    for letters in words:
+        equal_adjacent = [i + 1 for i in range(n - 1) if letters[i] == letters[i + 1]]
+        forced = 0
+        for p in equal_adjacent:
+            forced |= 1 << (p - 1)
+        free = [i for i in range(n - 1) if not forced >> i & 1]
+        for mask in range(1 << len(free)):
+            bits = forced
+            for idx, i in enumerate(free):
+                if mask >> idx & 1:
+                    bits |= 1 << i
+            splits = tuple(i + 1 for i in range(n - 1) if bits >> i & 1)
+            word = SegmentedWord(letters, splits)
+            if k is not None or l is not None:
+                ka, la = ascent_descent_counts(word)
+                if k is not None and ka != k:
+                    continue
+                if l is not None and la != l:
+                    continue
+            out.append(word)
+    return out
+
+
+def kl_filters(n):
+    """Every (k, l) filter up to n = 5; beyond, one filter of each shape."""
+    if n <= 5:
+        return list(product([None, *range(n)], repeat=2))
+    return [(None, None), (2, None), (None, 1), (1, 2)]
+
+
+def test_enumerators_match_the_replaced_loops():
+    for n in range(1, 7):
+        for k, l in kl_filters(n):
+            expected = reference_enumerate_segmented_permutations(n, k, l)
+            assert enumerate_segmented_permutations(n, k, l) == expected, (n, k, l)
+            assert reference_enumerate_segmented_words((1,) * n, k, l) == expected, (n, k, l)
+    for content in SMIRNOV_CONTENTS + [(1, 2), (3, 2), (0, 2, 1)]:
+        for k, l in kl_filters(sum(content)):
+            expected = reference_enumerate_segmented_words(content, k, l)
+            assert enumerate_segmented_words(content, k, l) == expected, (content, k, l)
+
+
+def test_iter_segmented_words_yields_valid_words_and_refuses_bad_contents():
+    for content in [(1,), (1, 1, 1, 1), *SMIRNOV_CONTENTS]:
+        for word in iter_segmented_words(content):
+            assert type(word) is SegmentedWord and word.is_valid()
+            assert word.content() == content
+    for bad in [(), (0, 0), (2, -1)]:
+        with pytest.raises(ValueError):
+            next(iter_segmented_words(bad))
+    with pytest.raises(ValueError):
+        enumerate_segmented_permutations(0)
 
 
 def test_split_positions_still_refuses_non_permutations():
