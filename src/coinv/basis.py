@@ -351,13 +351,27 @@ def _subset_bits(n, lowest):
         yield tuple([0] * (lowest - 1) + [mask >> i & 1 for i in range(width)])
 
 
+@lru_cache(maxsize=None)
+def _path_rows(n, kind):
+    """(theta, xi, alpha ranges) of every path of size n and kind, in the
+    order of motzkin.enumerate_paths: the per-path part of an iter_basis
+    pass, kept so that a repeated pass only loops over alpha.  Paths are
+    few (6,435 type A paths at n = 8) next to the elements they carry."""
+    rows = []
+    for path in motzkin.enumerate_paths(n, kind):
+        theta, xi = _bits_of_path(path)
+        rows.append((theta, xi, tuple(range(b + 1) for b in path_bound(path))))
+    return tuple(rows)
+
+
 def iter_basis(n, variant):
     """Yield the full basis for the given variant, in canonical order.
 
     Path-borne variants are ordered by path (lexicographic step order),
     then by alpha lexicographically; the (1,1) variants are ordered by
     the bitmask of T, then by exponent vector.  A single pass holds one
-    element at a time, so it can run over bases too large to keep.
+    element at a time besides the per-path rows of _path_rows, so it can
+    run over bases too large to keep.
     """
     if n < 1:
         raise ValueError("a basis needs n >= 1")
@@ -367,15 +381,12 @@ def iter_basis(n, variant):
     # the same tuple subclass straight from tuple.__new__ halves the pass.
     new = tuple.__new__
     if variant in ("a12", "b12"):
-        for path in motzkin.enumerate_paths(n, variant[0]):
-            theta, xi = _bits_of_path(path)
-            bound = path_bound(path)
-            for alpha in product(*(range(b + 1) for b in bound)):
+        for theta, xi, ranges in _path_rows(n, variant[0]):
+            for alpha in product(*ranges):
                 yield new(BasisElement, (alpha, theta, xi, variant))
     elif variant == "a02":
         zero = (0,) * n
-        for path in motzkin.enumerate_paths(n, "a"):
-            theta, xi = _bits_of_path(path)
+        for theta, xi, _ in _path_rows(n, "a"):
             yield new(BasisElement, (zero, theta, xi, variant))
     else:
         lowest = 2 if variant == "a11" else 1
@@ -387,7 +398,6 @@ def iter_basis(n, variant):
                 yield new(BasisElement, (alpha, theta, zero_xi, variant))
 
 
-@lru_cache(maxsize=8)
 def enumerate_basis(n, variant):
     """The full basis as a list, in the canonical order of iter_basis."""
     return list(iter_basis(n, variant))

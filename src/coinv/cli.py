@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 
 from . import basis, oracle, smirnov, symfun, verify
 from .combinat import Partition
@@ -25,7 +26,8 @@ EXIT_CLOSED_PIPE = 141
 # and runs; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
-# Items per json.dumps call when a table or a basis is printed as json.
+# Items per json.dumps call, or rows per write, when a table or a basis is
+# printed as json or csv.
 JSON_SLICE = 1024
 
 
@@ -61,29 +63,41 @@ def _check_enumerable(n, variant):
 def _print_json_list(items, to_json):
     """Print [to_json(item) for item in items] as json.dumps(..., indent=2) would.
 
-    The items are converted and dumped in slices, so the document is never
-    one string: each slice is dumped as a list and its brackets cut off.
+    items may be any iterable.  It is converted and dumped in slices, so
+    neither the list nor the document is ever whole: each slice is dumped
+    as a list and its brackets cut off.
     """
-    if not items:
-        print("[]")
-        return
     encode = json.JSONEncoder(indent=2).encode
+    items = iter(items)
     lead = "[\n"
-    for start in range(0, len(items), JSON_SLICE):
-        part = [to_json(item) for item in items[start:start + JSON_SLICE]]
+    while True:
+        part = [to_json(item) for item in islice(items, JSON_SLICE)]
+        if not part:
+            break
         sys.stdout.write(lead + encode(part)[2:-2])
         lead = ",\n"
-    sys.stdout.write("\n]\n")
+    sys.stdout.write("[]\n" if lead == "[\n" else "\n]\n")
 
 
 def _print_rows(rows, header, fmt):
-    """Emit a table as csv, json or aligned text."""
+    """Emit a table as csv, json or aligned text.
+
+    csv and json take any iterable of rows and write them as they come;
+    text aligns its columns, so it needs a sequence.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        rows = iter(rows)
+        while True:
+            writer.writerows(islice(rows, JSON_SLICE))
+            text = buf.getvalue()
+            if not text:
+                break
+            sys.stdout.write(text)
+            buf.seek(0)
+            buf.truncate()
     elif fmt == "json":
         _print_json_list(rows, lambda row: dict(zip(header, row)))
     else:
@@ -96,11 +110,11 @@ def _print_rows(rows, header, fmt):
 
 def cmd_basis(args):
     _check_enumerable(args.n, args.variant)
-    elements = basis.enumerate_basis(args.n, args.variant)
+    elements = basis.iter_basis(args.n, args.variant)
     if args.format == "json":
         _print_json_list(elements, basis.BasisElement.to_json)
     elif args.format == "csv":
-        rows = [(b.monomial_str(), b.deg_x, b.deg_theta, b.deg_xi) for b in elements]
+        rows = ((b.monomial_str(), b.deg_x, b.deg_theta, b.deg_xi) for b in elements)
         _print_rows(rows, ("monomial", "deg_x", "deg_theta", "deg_xi"), "csv")
     else:
         for b in elements:

@@ -43,7 +43,14 @@ class SegmentedWord(NamedTuple):
         return tuple(counts)
 
     def is_valid(self):
-        """Adjacent letters inside a block must differ."""
+        """Bars must strictly increase inside 1..n-1, so that no block is
+        empty, and adjacent letters inside a block must differ."""
+        n = len(self.letters)
+        last = 0
+        for s in self.splits:
+            if not last < s < n:
+                return False
+            last = s
         bars = set(self.splits)
         return all(
             self.letters[i] != self.letters[i + 1]
@@ -61,13 +68,20 @@ def format_word(word):
 
 
 def parse_word(text):
-    """Parse a word literal; letters may have several digits."""
+    """Parse a word literal; letters may have several digits.
+
+    Every block needs a letter, so a leading, trailing or doubled bar is
+    refused, as are equal adjacent letters inside a block.
+    """
     letters = []
     splits = []
     for i, blk in enumerate(text.split("|")):
+        tokens = blk.split()
+        if not tokens:
+            raise ValueError("empty block: %r" % text)
         if i:
             splits.append(len(letters))
-        letters.extend(int(tok) for tok in blk.split())
+        letters.extend(int(tok) for tok in tokens)
     word = SegmentedWord(tuple(letters), tuple(splits))
     if not word.is_valid():
         raise ValueError("equal adjacent letters inside a block: %r" % text)
@@ -345,8 +359,10 @@ def psi_inverse(word):
             theta[i - 1] = 1
             xi[i - 1] = 1
             blocks[bi : bi + 1] = [blk[:where], blk[where + 1 :]]
+    # a segmented permutation always peels down to the block (1); an empty
+    # block, left by a bar at 0, at n or out of order, survives the peeling
     if blocks != [[1]]:
-        raise ValueError("word did not reduce to the single letter 1")
+        raise ValueError("psi_inverse needs a segmented permutation")
     return BasisElement(tuple(alpha), tuple(theta), tuple(xi), "a12")
 
 
@@ -355,50 +371,63 @@ def psi_walk(n):
 
     A depth-first walk over psi's insertion tree: a node holds the blocks
     after letters 1..i-1, and its children insert i once for each step and
-    each alpha_i in 0..h_i-1, h_i the block count after the step.  An up
-    step opens a new block, a theta step appends i to a block, a xi step
-    prepends it, and a down step merges two neighbouring blocks around it
-    (so needs at least two).  Each node carries the element's monomial
-    factors and each block's formatted string, so a leaf costs one join
-    instead of n insertions and a reformat.
+    each alpha_i = a in 0..h_i-1, h_i the block count after the step, so
+    that a blocks lie right of i's block.  An up step opens a new block, a
+    theta step appends i to a block, a xi step prepends it, and a down step
+    merges two neighbouring blocks around it (so needs at least two).  Each
+    node carries the element's monomial factors and each block's formatted
+    string, so a leaf costs one join instead of n insertions and a
+    reformat.
 
-    Yields one (monomial, blocks, labels) triple per element, in no
-    particular order: monomial is the element's monomial_str(), blocks
-    are those of psi(element) as tuples of letters, and labels are the
-    blocks as format_word writes them.
+    Yields one (monomial, blocks, labels, k, l, sminv, split) tuple per
+    element, in no particular order: monomial is the element's
+    monomial_str(), blocks are those of psi(element) as tuples of letters,
+    labels are the blocks as format_word writes them, and k, l, sminv and
+    split are the word's statistics.  They are carried down the tree by
+    three update rules per insertion: k and l by the step, sminv by a, and
+    the split set by i-1 or nothing (psi_table states them in full).
     """
     if n < 1:
         raise ValueError("psi_walk needs n >= 1")
+    # A node is (size, blocks, labels, x factors, fermion factors, k, l,
+    # sminv, split, r, thick) with r and thick those of its largest letter.
     # Factors are kept with a leading "*" so that joining is concatenation.
-    stack = [(1, ((1,),), ("1",), "", "")]
+    stack = [(1, ((1,),), ("1",), "", "", 0, 0, 0, (), 0, True)]
     while stack:
-        size, blocks, labels, xs, fs = stack.pop()
+        size, blocks, labels, xs, fs, k, l, inv, split, r, thick = stack.pop()
         if size == n:
-            yield (xs + fs)[1:] or "1", blocks, labels
+            yield (xs + fs)[1:] or "1", blocks, labels, k, l, inv, split
             continue
         i = size + 1
         s = str(i)
         x_factor = ["", "*x" + s] + ["*x%d^%d" % (i, a) for a in range(2, i)]
         up_fs, th_fs, xi_fs, down_fs = fs, fs + "*th" + s, fs + "*xi" + s, fs + "*th%s*xi%s" % (s, s)
+        # i - 1 splits when it is thick and i, thick, lands left of it, or
+        # when i is thin and i - 1 is thick or has i on its right
+        grown = split + (size,)
         h = len(blocks)
         for a in range(h + 1):
             at = h - a
             stack.append((i, blocks[:at] + ((i,),) + blocks[at:],
-                          labels[:at] + (s,) + labels[at:], xs + x_factor[a], up_fs))
+                          labels[:at] + (s,) + labels[at:], xs + x_factor[a], up_fs,
+                          k, l, inv + a, grown if thick and a > r else split, a, True))
         for a in range(h):
             at = h - 1 - a
             before, after = blocks[:at], blocks[at + 1:]
             lbefore, lafter = labels[:at], labels[at + 1:]
             blk, lab, child_xs = blocks[at], labels[at], xs + x_factor[a]
             stack.append((i, before + (blk + (i,),) + after,
-                          lbefore + (lab + " " + s,) + lafter, child_xs, th_fs))
+                          lbefore + (lab + " " + s,) + lafter, child_xs, th_fs,
+                          k + 1, l, inv + a, grown if thick or a <= r else split, a, False))
             stack.append((i, before + ((i,) + blk,) + after,
-                          lbefore + (s + " " + lab,) + lafter, child_xs, xi_fs))
+                          lbefore + (s + " " + lab,) + lafter, child_xs, xi_fs,
+                          k, l + 1, inv + a, grown if thick and a >= r else split, a, True))
         for a in range(h - 1):
             at = h - 2 - a
             stack.append((i, blocks[:at] + (blocks[at] + (i,) + blocks[at + 1],) + blocks[at + 2:],
                           labels[:at] + (labels[at] + " " + s + " " + labels[at + 1],) + labels[at + 2:],
-                          xs + x_factor[a], down_fs))
+                          xs + x_factor[a], down_fs, k + 1, l + 1, inv + a,
+                          grown if thick or a < r else split, a, False))
 
 
 def psi_table(n):
@@ -406,27 +435,29 @@ def psi_table(n):
 
     Each entry is (bar mask, letters, sigma, monomial, k, l, sminv, split)
     for sigma = psi(element): the mask has bit s-1 set for a bar after
-    position s, and k, l, sminv and the splitting values are computed from
-    sigma's letters by the same kernels as the per-word functions above.
+    position s.  The columns are carried down psi_walk's insertion tree,
+    so a leaf only packs its letters and mask from its blocks.  Inserting
+    i, the new largest letter, with a blocks right of its block:
+
+    * k grows by 1 after theta and down steps (i follows a smaller letter
+      in its block), l by 1 after xi and down steps (i precedes one).
+    * sminv grows by a.  A pair (i, w_j) counts by rule 1 exactly when w_j
+      starts one of the a blocks to the right; rule 2 would need a letter
+      above i.  After a xi or down step the letter now after i used to
+      start its block: the earlier letters it counted against by rule 1
+      it now counts against by rule 2, since i exceeds them all.
+    * The split set gains i-1 or nothing.  No old letter's thick flag
+      changes (a letter that stops starting its block becomes the low end
+      of the fall from i), and i is thick after up and xi steps, thin
+      after theta and down steps.  So split_positions' rule for the pair
+      (i-1, i) needs only i-1's thick flag, the number r of blocks right
+      of i-1's block, and whether i lands left of i-1: a > r after up and
+      theta steps, a >= r after xi and down steps.
     """
-    for monomial, blocks, labels in psi_walk(n):
-        letters = []
-        initial = []
+    for monomial, blocks, labels, k, l, inv, split in psi_walk(n):
+        letters = blocks[0]
         mask = 0
-        for blk in blocks:
-            if letters:
-                mask |= 1 << (len(letters) - 1)
-            initial.append(True)
-            initial.extend([False] * (len(blk) - 1))
-            letters.extend(blk)
-        k, l = _rise_fall_counts(letters, initial)
-        yield (
-            mask,
-            tuple(letters),
-            "|".join(labels),
-            monomial,
-            k,
-            l,
-            _sminv_count(letters, initial),
-            _split_values(letters, _thick_flags(letters, initial)),
-        )
+        for blk in blocks[1:]:
+            mask |= 1 << (len(letters) - 1)
+            letters += blk
+        yield mask, letters, "|".join(labels), monomial, k, l, inv, split

@@ -329,13 +329,13 @@ def hook_h_coefficient(n, k, l, d):
 @lru_cache(maxsize=None)
 def _hook_h_table(n):
     """hook_h_coefficient for every (k, l, d) from one pass over the
-    enumerated a12 basis, independent of basis.ascent_table.
+    streamed a12 basis, independent of basis.ascent_table.
 
     An element whose first p positions are bare counts for d = 0..p-1;
     the x-degrees are tallied as integers and each polynomial built once.
     """
     tallies = {}
-    for b in basis_mod.enumerate_basis(n, "a12"):
+    for b in basis_mod.iter_basis(n, "a12"):
         alpha, theta, xi = b.alpha, b.theta, b.xi
         bare = 0
         while bare < n and not (alpha[bare] or theta[bare] or xi[bare]):

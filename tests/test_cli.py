@@ -122,6 +122,39 @@ def test_basis_json_matches_one_dumps_of_the_whole_basis(capsys, variant, n):
     assert first_difference(out, expected) is None
 
 
+@pytest.mark.parametrize("count", [0, 1, cli.JSON_SLICE, 2 * cli.JSON_SLICE + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_stream_from_a_generator(capsys, count, fmt):
+    rows = [(d, "q,r", d % 3 == 0, None) for d in range(count)]
+    header = ("a", "b", "c", "d")
+    cli._print_rows(rows, header, fmt)
+    expected = capsys.readouterr().out
+    cli._print_rows((row for row in rows), header, fmt)
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_basis_streams_without_building_the_list(capsys, monkeypatch, fmt):
+    expected = run_cli(capsys, "basis", "--n", "4", "--format", fmt)
+
+    def refuse(*args):
+        raise AssertionError("the listing must stream iter_basis")
+
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    assert run_cli(capsys, "basis", "--n", "4", "--format", fmt) == expected
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="n=7 bijection table; set COINV_LONG=1 (about 5 s)",
+)
+def test_bijection_n7_csv_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "bijection", "--n", "7", "--format", "csv")
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
+
+
 def first_difference(out, expected):
     """None for equal texts, else the first differing line as (number, got, want).
 
@@ -344,6 +377,7 @@ def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv,
         raise AssertionError("the basis was enumerated")
 
     monkeypatch.setattr(basis, "enumerate_basis", no_enumeration)
+    monkeypatch.setattr(basis, "iter_basis", no_enumeration)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -16,11 +16,13 @@ from coinv.smirnov import (
     parse_word,
     psi,
     psi_inverse,
+    psi_table,
     psi_walk,
     sminv,
     split_positions,
     sw_q,
     thick_thin,
+    word_statistics,
 )
 
 from golden import BIJECTION_TABLES
@@ -34,6 +36,20 @@ def test_word_literals():
     assert parse_word("12 1|3").letters == (12, 1, 3)
     with pytest.raises(ValueError):
         parse_word("1 1|2")  # equal adjacent letters inside a block
+
+
+@pytest.mark.parametrize("text", ["|1 2", "1||2", "1 2|"])
+def test_word_literals_refuse_empty_blocks(text):
+    with pytest.raises(ValueError, match="empty block"):
+        parse_word(text)
+
+
+@pytest.mark.parametrize("splits", [(0,), (1, 1), (2,), (2, 1)])
+def test_bars_outside_the_word_or_out_of_order_are_invalid(splits):
+    word = SegmentedWord((1, 2), splits)
+    assert not word.is_valid()
+    with pytest.raises(ValueError, match="needs a segmented permutation"):
+        psi_inverse(word)
 
 
 def test_blocks_and_validity():
@@ -410,7 +426,7 @@ def test_psi_walk_is_psi_on_every_element():
         leaves = list(psi_walk(n))
         assert len(leaves) == (1 << (n - 1)) * factorial(n)
         walked = set()
-        for monomial, blocks, labels in leaves:
+        for monomial, blocks, labels, *_ in leaves:
             word = word_of_blocks(blocks)
             assert "|".join(labels) == format_word(word)
             walked.add((monomial, word))
@@ -422,3 +438,17 @@ def test_psi_walk_is_psi_on_every_element():
 def test_psi_walk_rejects_n_below_one():
     with pytest.raises(ValueError):
         list(psi_walk(0))
+
+
+def test_psi_table_carries_the_statistics_of_every_leaf():
+    # each entry's k, l, sminv, split and mask against the kernels run on
+    # the entry's own word, built from its sigma literal
+    for n in range(1, 7):
+        entries = list(psi_table(n))
+        assert len(entries) == (1 << (n - 1)) * factorial(n)
+        for mask, letters, sigma, _, k, l, inv, split in entries:
+            word = parse_word(sigma)
+            assert word.letters == letters
+            assert mask == sum(1 << (s - 1) for s in word.splits)
+            assert (k, l, inv, split) == word_statistics(word), sigma
+            assert split == split_positions(word)

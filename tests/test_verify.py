@@ -116,6 +116,32 @@ def test_streamed_checks_catch_a_dropped_element(monkeypatch, name, variant):
     assert check(3) is not None
 
 
+@pytest.mark.parametrize("variant", ["a11", "a02", "b11"])
+def test_specializations_catch_a_repeated_element(monkeypatch, variant):
+    # same count, different multiset: the last element replaced by the first
+    iter_basis = basis.iter_basis
+
+    def repeat_first(n, v):
+        elements = list(iter_basis(n, v))
+        if v == variant:
+            elements[-1] = elements[0]
+        return iter(elements)
+
+    monkeypatch.setattr(basis, "iter_basis", repeat_first)
+    assert verify.check_specializations(3) is not None
+
+
+def test_a12_checks_stream_the_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the check must stream iter_basis, not build the list")
+
+    monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    symfun._hook_h_table.cache_clear()
+    assert verify.check_bijection_suite(4) is None
+    assert verify.check_hook_characterization(4) is None
+    assert verify.check_hook_h_dual(4) is None
+
+
 def test_bijection_suite_catches_swapped_letters(monkeypatch):
     psi = smirnov.psi
 
