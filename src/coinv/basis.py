@@ -14,7 +14,7 @@ fermionic factors would introduce is normalized away.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -95,12 +95,7 @@ class BasisElement(NamedTuple):
         return motzkin.MotzkinPath(steps, kind)
 
 
-_STEP_OF_BITS = {
-    (0, 0): motzkin.UP,
-    (1, 0): motzkin.HTHETA,
-    (0, 1): motzkin.HXI,
-    (1, 1): motzkin.DOWN,
-}
+_STEP_OF_BITS = {(t, x): s for s, (_, t, x) in enumerate(motzkin.STEPS)}
 
 
 # -- staircase bounds --------------------------------------------------------
@@ -127,6 +122,14 @@ def _heights(T, S, n, floor):
     return heights
 
 
+def _bound_of_heights(heights, kind):
+    """The staircase read off path heights h_0 = 0, h_1, ..., h_n:
+    alpha_i = h_i - 1 for kind "a", beta_i = h_{i-1} + h_i for kind "b"."""
+    if kind == "a":
+        return tuple(h - 1 for h in heights[1:])
+    return tuple(a + b for a, b in zip(heights, heights[1:]))
+
+
 def alpha_sequence(T, S, n):
     """The generalized type A staircase for decoration sets T, S.
 
@@ -134,7 +137,7 @@ def alpha_sequence(T, S, n):
     steps by -1 + [i not in T] + [i not in S].  Raises ValueError when
     (T, S) does not come from a valid type A path.
     """
-    return tuple(h - 1 for h in _heights(T, S, n, 1)[1:])
+    return _bound_of_heights(_heights(T, S, n, 1), "a")
 
 
 def beta_sequence(T, S, n):
@@ -145,8 +148,7 @@ def beta_sequence(T, S, n):
     -2 + [i not in T] + [i-1 not in T] + [i not in S] + [i-1 not in S].
     Raises ValueError when (T, S) does not come from a valid type B path.
     """
-    heights = _heights(T, S, n, 0)
-    return tuple(a + b for a, b in zip(heights, heights[1:]))
+    return _bound_of_heights(_heights(T, S, n, 0), "b")
 
 
 def _staircase(T, S, n, kind):
@@ -165,9 +167,11 @@ def super_artin_bound(T, n, kind):
 
 
 def path_bound(path):
-    """The staircase bound attached to a decorated path."""
-    T, S = path.weight_sets()
-    return _staircase(T, S, path.n, path.variant)
+    """The staircase bound attached to a decorated path, read off the
+    heights its steps reach; a MotzkinPath is valid, so nothing is checked."""
+    steps = motzkin.STEPS
+    heights = tuple(accumulate((steps[s][0] for s in path.steps), initial=0))
+    return _bound_of_heights(heights, path.variant)
 
 
 def stair_q(path):
@@ -246,10 +250,6 @@ class _Packing:
         return QuvPolynomial(terms)
 
 
-# (height change, theta bit, xi bit) of the steps U, T, X, D
-_MOVES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
-
-
 def _height_series(n, kind):
     """The a12 (kind "a") or b12 (kind "b") Hilbert series by recursion
     over the path height.
@@ -261,7 +261,7 @@ def _height_series(n, kind):
     """
     pack = _Packing(n, kind)
     q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
-    moves = [(dh, pack.shift(0, t, x)) for dh, t, x in _MOVES]
+    moves = [(dh, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
     floor = 1 if kind == "a" else 0
     layer = {1: 1} if kind == "a" else {0: 1}
     for _ in range(n - 1 if kind == "a" else n):
@@ -300,7 +300,7 @@ def ascent_table(n):
     if n < 1:
         raise ValueError("ascent_table needs n >= 1")
     pack = _Packing(n, "a")
-    moves = [(dh, t, x, pack.shift(0, t, x)) for dh, t, x in _MOVES]
+    moves = [(dh, t, x, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
     out = []
 
     def walk(i, mask, states):
@@ -338,12 +338,6 @@ def ascent_table(n):
 # -- enumeration --------------------------------------------------------------
 
 
-def _bits_of_path(path):
-    theta = tuple(1 if s in (motzkin.HTHETA, motzkin.DOWN) else 0 for s in path.steps)
-    xi = tuple(1 if s in (motzkin.HXI, motzkin.DOWN) else 0 for s in path.steps)
-    return theta, xi
-
-
 def _subset_bits(n, lowest):
     """All 0/1 vectors of length n that vanish below position `lowest`, by bitmask."""
     width = n - lowest + 1
@@ -359,7 +353,7 @@ def _path_rows(n, kind):
     few (6,435 type A paths at n = 8) next to the elements they carry."""
     rows = []
     for path in motzkin.enumerate_paths(n, kind):
-        theta, xi = _bits_of_path(path)
+        _, theta, xi = zip(*(motzkin.STEPS[s] for s in path.steps))
         rows.append((theta, xi, tuple(range(b + 1) for b in path_bound(path))))
     return tuple(rows)
 

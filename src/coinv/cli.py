@@ -264,40 +264,44 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="coinv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, variants=None):
+    # each command offers the formats it writes
+    tables = ("text", "json", "csv")
+    series = tables + ("latex",)
+
+    def common(p, formats, variants=None):
         p.add_argument("--n", type=int, required=True)
         if variants:
             p.add_argument("--variant", choices=variants, default="a12")
-        p.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("basis", help="list the basis elements")
-    common(p, basis.VARIANTS)
+    common(p, tables, basis.VARIANTS)
     p.set_defaults(run=cmd_basis)
 
     p = sub.add_parser("hilbert", help="the trigraded Hilbert series")
-    common(p, basis.VARIANTS)
+    common(p, series, basis.VARIANTS)
     p.set_defaults(run=cmd_hilbert)
 
     p = sub.add_parser("frobenius", help="the conjectural Frobenius series")
-    common(p)
+    common(p, series)
     p.add_argument("--form", choices=("qsym", "schur"), default="schur")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.set_defaults(run=cmd_frobenius)
 
     p = sub.add_parser("bijection", help="the basis <-> segmented permutation table")
-    common(p)
+    common(p, tables)
     p.set_defaults(run=cmd_bijection)
 
     p = sub.add_parser("hook", help="hook Schur coefficients, both routes")
-    common(p)
+    common(p, tables)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.set_defaults(run=cmd_hook)
 
     p = sub.add_parser("hmu", help="h_mu coefficients of the Frobenius series")
-    common(p)
+    common(p, tables)
     p.add_argument("--mu", required=True, help='partition of n, e.g. "2,1"')
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
@@ -308,7 +312,7 @@ def build_parser():
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("oracle", help="quotient dimensions by exact linear algebra")
-    common(p, ("a12", "b12"))
+    common(p, ("text", "json"), ("a12", "b12"))
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--max-x-degree", type=int, default=None)
     p.add_argument("--long", action="store_true", help="allow the long runs at n >= 4")

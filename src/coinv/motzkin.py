@@ -11,7 +11,9 @@ from dataclasses import dataclass
 UP, HTHETA, HXI, DOWN = range(4)
 
 STEP_CHARS = "UTXD"
-STEP_DELTA = (1, 0, 0, -1)
+# (height change, theta bit, xi bit) of each step kind, indexed by UP,
+# HTHETA, HXI and DOWN: the one place the step encoding is written down.
+STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class MotzkinPath:
         floor = 1 if self.variant == "a" else 0
         h = 0
         for i, s in enumerate(steps):
-            h += STEP_DELTA[s]
+            h += STEPS[s][0]
             if h < floor:
                 raise ValueError("path dips below its floor at step %d" % (i + 1,))
 
@@ -48,7 +50,7 @@ class MotzkinPath:
         """Height after the first i steps; height_after(0) == 0."""
         if not 0 <= i <= len(self.steps):
             raise ValueError("step index out of range")
-        return sum(STEP_DELTA[s] for s in self.steps[:i])
+        return sum(STEPS[s][0] for s in self.steps[:i])
 
     def weight_sets(self):
         """The decoration index sets (T, S): positions carrying theta resp. xi.
@@ -56,8 +58,8 @@ class MotzkinPath:
         Positions are 1-based.  Horizontal theta steps and down-steps
         contribute to T; horizontal xi steps and down-steps contribute to S.
         """
-        T = frozenset(i + 1 for i, s in enumerate(self.steps) if s in (HTHETA, DOWN))
-        S = frozenset(i + 1 for i, s in enumerate(self.steps) if s in (HXI, DOWN))
+        T = frozenset(i + 1 for i, s in enumerate(self.steps) if STEPS[s][1])
+        S = frozenset(i + 1 for i, s in enumerate(self.steps) if STEPS[s][2])
         return T, S
 
     def __str__(self):
@@ -99,7 +101,7 @@ def enumerate_paths(n, variant):
             return
         kinds = (UP,) if (variant == "a" and pos == 0) else (UP, HTHETA, HXI, DOWN)
         for s in kinds:
-            h = height + STEP_DELTA[s]
+            h = height + STEPS[s][0]
             if h < floor:
                 continue
             steps.append(s)

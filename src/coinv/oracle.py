@@ -97,22 +97,14 @@ def monomial_basis(n, degree):
 
 
 @lru_cache(maxsize=None)
-def symmetric_group(n):
-    return tuple(permutations(range(n)))
-
-@lru_cache(maxsize=None)
-def hyperoctahedral_group(n):
-    """Signed permutations as (perm, signflags); signflags bit i negates slot i."""
-    return tuple((perm, flags) for perm in permutations(range(n)) for flags in range(1 << n))
-
-
 def _signed_group(n, group_kind):
-    """The group of one kind as (perm, signflags) pairs; type A negates nothing."""
-    if group_kind == "a":
-        return [(perm, 0) for perm in symmetric_group(n)]
-    if group_kind == "b":
-        return hyperoctahedral_group(n)
-    raise ValueError("group_kind must be 'a' or 'b'")
+    """The group of one kind as (perm, signflags) pairs, signflags bit i
+    negating slot i: the symmetric group (type A, negating nothing) or the
+    hyperoctahedral group (type B)."""
+    if group_kind not in ("a", "b"):
+        raise ValueError("group_kind must be 'a' or 'b'")
+    signs = range(1 << n) if group_kind == "b" else (0,)
+    return tuple((perm, flags) for perm in permutations(range(n)) for flags in signs)
 
 
 def _permute_mask(mask, perm):

@@ -72,14 +72,6 @@ class QuvPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = _coerce(other)

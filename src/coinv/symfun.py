@@ -11,7 +11,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import basis as basis_mod
-from . import smirnov
 from .combinat import Composition, IndexSubset, Partition, comp_of_set, set_of_comp
 from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
@@ -107,35 +106,18 @@ class SchurExpansion:
 # -- the Frobenius series ------------------------------------------------------
 
 
-def frobenius_qsym(n, k=None, l=None, route="basis"):
+def frobenius_qsym(n, k=None, l=None):
     """The conjectural Frobenius series in the fundamental basis.
 
-    Sums u^deg_theta v^deg_xi q^deg_x Q_{Asc(b),n} over basis elements
-    (route "basis", read off basis.ascent_table), or q^sminv u^k v^l
-    Q_{Split,n} over segmented permutations (route "words"); the two agree
-    through the bijection.
+    Sums u^deg_theta v^deg_xi q^deg_x Q_{Asc(b),n} over basis elements,
+    read off basis.ascent_table.
     Passing k and/or l restricts to fixed theta/xi degrees.
     """
     out = QSymExpansion(n)
-    if route == "basis":
-        for mask, poly in basis_mod.ascent_table(n):
-            poly = _restrict(poly, k, l)
-            if poly:
-                out.add(_subset_of_mask(mask, n), poly)
-    elif route == "words":
-        tallies = {}  # split values -> {(sminv, k, l): number of words}
-        for word in smirnov.iter_segmented_words((1,) * n):
-            dk, dl, inv, split = smirnov.word_statistics(word)
-            if k is not None and dk != k:
-                continue
-            if l is not None and dl != l:
-                continue
-            counts = tallies.setdefault(split, {})
-            counts[(inv, dk, dl)] = counts.get((inv, dk, dl), 0) + 1
-        for split, counts in tallies.items():
-            out.add(IndexSubset(split, n), QuvPolynomial(counts))
-    else:
-        raise ValueError("route must be 'basis' or 'words'")
+    for mask, poly in basis_mod.ascent_table(n):
+        poly = _restrict(poly, k, l)
+        if poly:
+            out.add(_subset_of_mask(mask, n), poly)
     return out
 
 

@@ -132,8 +132,8 @@ def test_staircases_match_the_replaced_loops():
         for T, S in product(sets, sets):
             assert outcome(alpha_sequence, T, S, n) == outcome(reference_alpha_sequence, T, S, n), (T, S)
             assert outcome(beta_sequence, T, S, n) == outcome(reference_beta_sequence, T, S, n), (T, S)
-    for n in range(1, 7):
-        for kind in ("a", "b"):
+    for kind, top in (("a", 8), ("b", 6)):
+        for n in range(1, top + 1):
             for path in motzkin.enumerate_paths(n, kind):
                 assert path_bound(path) == reference_path_bound(path), path
 
@@ -262,10 +262,22 @@ def test_monomial_str_and_json():
 
 
 def test_path_reconstruction():
-    for b in enumerate_basis(3, "a12"):
-        path = b.path()
-        T, S = path.weight_sets()
-        assert T == b.theta_set and S == b.xi_set
+    """b.path() is the enumerated path whose decoration sets are b's, and
+    b's exponents stay under that path's staircase."""
+    for variant in ("a12", "b12"):
+        for n in range(1, 5):
+            carriers = {path.weight_sets(): path for path in motzkin.enumerate_paths(n, variant[0])}
+            for b in enumerate_basis(n, variant):
+                path = b.path()
+                assert path == carriers[b.theta_set, b.xi_set], b
+                assert all(a <= k for a, k in zip(b.alpha, path_bound(path))), b
+
+
+def bits_of_path(path):
+    """The theta and xi occupancy vectors of a path, from its weight sets."""
+    T, S = path.weight_sets()
+    positions = range(1, path.n + 1)
+    return tuple(int(i in T) for i in positions), tuple(int(i in S) for i in positions)
 
 
 def reference_enumerate_basis(n, variant):
@@ -273,12 +285,12 @@ def reference_enumerate_basis(n, variant):
     out = []
     if variant in ("a12", "b12"):
         for path in motzkin.enumerate_paths(n, variant[0]):
-            theta, xi = basis._bits_of_path(path)
+            theta, xi = bits_of_path(path)
             for alpha in product(*(range(b + 1) for b in reference_path_bound(path))):
                 out.append(BasisElement(alpha, theta, xi, variant))
     elif variant == "a02":
         for path in motzkin.enumerate_paths(n, "a"):
-            theta, xi = basis._bits_of_path(path)
+            theta, xi = bits_of_path(path)
             out.append(BasisElement((0,) * n, theta, xi, variant))
     else:
         lowest = 2 if variant == "a11" else 1

@@ -259,6 +259,75 @@ def test_kl_tables_are_unchanged(capsys, command, fmt, extra):
     assert hashlib.sha256(out.encode()).hexdigest() == KL_TABLE_SHA256[command, fmt, extra]
 
 
+# sha256 of the stdout of every (command, format) pair that a command
+# writes, at n = 3, recorded before each command offered only its own formats.
+FORMAT_SHA256 = {
+    ("basis --n 3 --variant a12", "text"): "78ef90f62c317a01d60455edb3f66aabef0def6c718205a097ba5d9f05b3e477",
+    ("basis --n 3 --variant a12", "json"): "fad5012e269586031f19c69f929bf6bde5e0007f01bb278000030f31af2a4b0e",
+    ("basis --n 3 --variant a12", "csv"): "53858c15bd07e729886d567f004828d91d02353f70785b734e768998868079e9",
+    ("basis --n 3 --variant a11", "text"): "615a1a17d875c92be5dec5b01f544684ac69b763734e67836a23241ee761d1e7",
+    ("basis --n 3 --variant a11", "json"): "bfeb419f497ae9b094458f9e6c3730000487c80f4aa1d81450fe0bd6786960a4",
+    ("basis --n 3 --variant a11", "csv"): "d322aa2fc505abe97142f3a72af8211d3baede5a922973dbe0708bfb67a90f12",
+    ("basis --n 3 --variant a02", "text"): "309b6dd70b0d208d4f9a6bb46cd70ae433eeeb4fc700c2be3dd89d7df052d63d",
+    ("basis --n 3 --variant a02", "json"): "2d509bbdf096bb427dfb2cbb7920a7fae2b4d85701bcc827965237dd708a6f10",
+    ("basis --n 3 --variant a02", "csv"): "ec56a91958de3fb2205116e74aff148b62177615aae3c66482a26a04936be88f",
+    ("basis --n 3 --variant b12", "text"): "3ed739bfc97bd9be15e10bc349205722dafbc2b53133e26e09e2a027e54d7e85",
+    ("basis --n 3 --variant b12", "json"): "c215f0f0b262c473c3a7b2da4cd846b62ddfbd26d94ee98b008f4874bccc0a91",
+    ("basis --n 3 --variant b12", "csv"): "be88480cae5d467db2690f1032242ec3a63512924bbfad316773a341340f932f",
+    ("basis --n 3 --variant b11", "text"): "674c74a36904d8c4bfbb3ef11e5d510ed0e574799d465deae04eda00655c7c4a",
+    ("basis --n 3 --variant b11", "json"): "c5170c81b5de6961570a8f791711c5a13ee6ba15be34f498f7cef9e5bdd23ccd",
+    ("basis --n 3 --variant b11", "csv"): "073a9565118134c81490cb3e70345a2220e0736f84dbbf5ecd8b64c26198f0dc",
+    ("hilbert --n 3", "text"): "ce171483f69a185c433fe4c7e159a9d903dd34e1449383e81c15b81cb3731fb3",
+    ("hilbert --n 3", "json"): "b0ed6f7217eb6be84b5bd50aba02eeedc3b4e46e349fe2c969fba6c541907f21",
+    ("hilbert --n 3", "csv"): "8835cec5d0931854ac2e20f102089aeed9afc96191add8903523a4f48eeb35e4",
+    ("hilbert --n 3", "latex"): "9aceb5f1f8c146a849f5977e6e7df32d3aae1c87936469acb97ad89f9e6edce0",
+    ("frobenius --n 3 --form qsym", "text"): "ce36560c91ca66ae75d8fece05ad230c1d7cb6121b83efe8e102d5ca4f493b51",
+    ("frobenius --n 3 --form qsym", "json"): "48f0f905d0f9205b289128846451059cf8ffdc637611ff88ee0a4410385f8941",
+    ("frobenius --n 3 --form qsym", "csv"): "66c2ddcef690d32c804127cd449367b6652618b6a019e471a09b7a0d47ddb847",
+    ("frobenius --n 3 --form qsym", "latex"): "6210d37c2e455fba6a873e94518b759cc83f9d66ab7974a47809e5857743776a",
+    ("frobenius --n 3 --form schur", "text"): "fd54d91ea161415d30b1b66e99950b225b68f705c7d4559ce305efe2c63c3e08",
+    ("frobenius --n 3 --form schur", "json"): "723873fb5e47a15196a1e4d6d5b17269a982e7eb12f97f01c13b21548c570b5c",
+    ("frobenius --n 3 --form schur", "csv"): "1a727898ac06c3859d3a1faadec4c73f05549f277270a724e5b4170377a7b563",
+    ("frobenius --n 3 --form schur", "latex"): "af9b440fd4291f3219b7a49695173573810d802db8a7ce01dad0c30e75edfe26",
+    ("bijection --n 3", "text"): "7a18eaee379f406c7c0852232a3646fb846098b93573afd1ad6e1e13d916e537",
+    ("bijection --n 3", "json"): "6c5dd037aa15b4de0c34abbfda612fe48d6695fe8f8ec62f40afe3740567f353",
+    ("bijection --n 3", "csv"): "ad777d020577e0f295225b6b8ed4ad6283a7052cfa25cd0df8a29adeaa3e1c36",
+    ("hook --n 3", "text"): "df2aec249d87ee41dcb7e68319965fab48e7686a7f5921af0537d27d7e134613",
+    ("hook --n 3", "json"): "b1321ea4605bcfd4962c554bf0cdc06fd48550cc1fa31170a1dc44dddc408f86",
+    ("hook --n 3", "csv"): "7cf1ecdd1c5ba7cbe38374208e74af3a2e3f0ff48a32044f5fda08a08dbb8278",
+    ("hmu --n 3 --mu 2,1", "text"): "b1b4a56e296a6f7cdef8f21118c6d02336f0a93171276a409e64af6bb5b823ea",
+    ("hmu --n 3 --mu 2,1", "json"): "3a723e77370ff41a0bd506de3175be018826d0f32ebcc09ecfd0b4c34356e442",
+    ("hmu --n 3 --mu 2,1", "csv"): "99c20c474409dbd0a695056d256783ef28b5f475308867a8446da522f9b09b6a",
+    ("oracle --n 3", "text"): "5664feaf4bdcf9dfda1f5170d89761ba910716e05314b38fe93ee4a493c2bdfa",
+    ("oracle --n 3", "json"): "38c75e5bc17457345b08e6a8ccde5d1318ff71afee199404ead8f9b4c19683b1",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(FORMAT_SHA256))
+def test_every_written_format_is_unchanged(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("basis", "latex"),
+    ("bijection", "latex"),
+    ("hook", "latex"),
+    ("hmu --mu 2,1", "latex"),
+    ("oracle", "csv"),
+    ("oracle", "latex"),
+])
+def test_unwritten_format_exits_2(capsys, command, fmt):
+    name, *extra = command.split()
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--n", "3", *extra, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: %r" % fmt in captured.err
+
+
 def test_hmu_rejects_bad_mu(capsys):
     code, _, err = run_cli(capsys, "hmu", "--n", "3", "--mu", "2,2")
     assert code == 2

@@ -6,6 +6,7 @@ from coinv.motzkin import (
     DOWN,
     HTHETA,
     HXI,
+    STEPS,
     UP,
     MotzkinPath,
     delete_first_up,
@@ -65,6 +66,23 @@ def test_weight_sets():
     assert (T, S) == ({2}, {3})
     T, S = MotzkinPath((UP, UP, UP), "a").weight_sets()
     assert (T, S) == (frozenset(), frozenset())
+
+
+def test_step_table_matches_heights_and_weight_sets():
+    """Each STEPS entry is the height change and the theta/xi membership
+    that height_after and weight_sets give its step on every path of
+    length 1 and 2."""
+    seen = set()
+    for kind in ("a", "b"):
+        for n in (1, 2):
+            for path in enumerate_paths(n, kind):
+                T, S = path.weight_sets()
+                for i, s in enumerate(path.steps, start=1):
+                    seen.add(s)
+                    dh, t, x = STEPS[s]
+                    assert dh == path.height_after(i) - path.height_after(i - 1), (path, i)
+                    assert (t, x) == (int(i in T), int(i in S)), (path, i)
+    assert seen == {UP, HTHETA, HXI, DOWN}
 
 
 def test_height_after():

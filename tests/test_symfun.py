@@ -34,10 +34,10 @@ def test_frobenius_qsym_small():
 
 def test_frobenius_routes_agree():
     for n in range(1, 6):
-        assert frobenius_qsym(n, route="basis") == frobenius_qsym(n, route="words")
+        assert frobenius_qsym(n) == verify.frobenius_qsym_via_words(n)
     for k in range(3):
         for l in range(3 - k):
-            assert frobenius_qsym(3, k=k, l=l, route="basis") == frobenius_qsym(3, k=k, l=l, route="words")
+            assert frobenius_qsym(3, k=k, l=l) == verify.frobenius_qsym_via_words(3, k=k, l=l)
 
 
 def test_frobenius_pairs_to_hilbert():
@@ -238,7 +238,7 @@ def test_hook_h_coefficient_matches_the_per_call_loop():
 
 
 def reference_words_route(n, k=None, l=None):
-    """frobenius_qsym(route="words") with one QSymExpansion.add per word."""
+    """verify.frobenius_qsym_via_words with one QSymExpansion.add per word."""
     out = QSymExpansion(n)
     for word in smirnov.enumerate_segmented_permutations(n):
         dk, dl = smirnov.ascent_descent_counts(word)
@@ -256,7 +256,7 @@ def test_words_route_matches_per_word_adds():
         filters = [(None, None)] + [(k, None) for k in range(n)] + [(None, l) for l in range(n)]
         filters += [(k, l) for k in range(n) for l in range(n - k)]
         for k, l in filters:
-            assert frobenius_qsym(n, k=k, l=l, route="words") == reference_words_route(n, k, l), (n, k, l)
+            assert verify.frobenius_qsym_via_words(n, k=k, l=l) == reference_words_route(n, k, l), (n, k, l)
 
 
 def reference_hook_asc_characterization(element, d):

@@ -177,13 +177,12 @@ def test_bijection_suite_catches_a_psi_that_is_not_injective(monkeypatch):
 
 
 def test_frobenius_routes_catch_a_wrong_words_route(monkeypatch):
-    frobenius_qsym = symfun.frobenius_qsym
+    via_words = verify.frobenius_qsym_via_words
 
-    def broken(n, k=None, l=None, route="basis"):
-        out = frobenius_qsym(n, k=k, l=l, route=route)
-        if route == "words":
-            out.add(IndexSubset((), n), q_power(1))
+    def broken(n, k=None, l=None):
+        out = via_words(n, k=k, l=l)
+        out.add(IndexSubset((), n), q_power(1))
         return out
 
-    monkeypatch.setattr(symfun, "frobenius_qsym", broken)
+    monkeypatch.setattr(verify, "frobenius_qsym_via_words", broken)
     assert verify.check_frobenius_routes(3) is not None
