@@ -347,49 +347,56 @@ def _subset_bits(n, lowest):
 
 @lru_cache(maxsize=None)
 def _path_rows(n, kind):
-    """(theta, xi, alpha ranges) of every path of size n and kind, in the
-    order of motzkin.enumerate_paths: the per-path part of an iter_basis
-    pass, kept so that a repeated pass only loops over alpha.  Paths are
-    few (6,435 type A paths at n = 8) next to the elements they carry."""
+    """(theta, xi, bound) of every path of size n and kind, in the order of
+    motzkin.enumerate_paths, kept so that a repeated pass only loops over
+    alpha.  Paths are few (6,435 type A paths at n = 8) next to the
+    elements they carry."""
     rows = []
     for path in motzkin.enumerate_paths(n, kind):
         _, theta, xi = zip(*(motzkin.STEPS[s] for s in path.steps))
-        rows.append((theta, xi, tuple(range(b + 1) for b in path_bound(path))))
+        rows.append((theta, xi, path_bound(path)))
     return tuple(rows)
 
 
-def iter_basis(n, variant):
-    """Yield the full basis for the given variant, in canonical order.
+def iter_rows(n, variant):
+    """Yield the rows (theta, xi, bound) of the basis, in canonical order.
 
-    Path-borne variants are ordered by path (lexicographic step order),
-    then by alpha lexicographically; the (1,1) variants are ordered by
-    the bitmask of T, then by exponent vector.  A single pass holds one
-    element at a time besides the per-path rows of _path_rows, so it can
-    run over bases too large to keep.
+    The basis is the union of the row boxes: a row stands for the elements
+    x^alpha theta xi with 0 <= alpha <= bound entrywise.  Path-borne
+    variants have one row per path, in lexicographic step order, with the
+    staircase bound of the path, all zero for a02; the (1,1) variants have
+    one row per theta, ordered by its bitmask, with the super-Artin bound.
     """
     if n < 1:
         raise ValueError("a basis needs n >= 1")
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
-    # BasisElement(...) runs a Python-level __new__ per element; building
-    # the same tuple subclass straight from tuple.__new__ halves the pass.
-    new = tuple.__new__
     if variant in ("a12", "b12"):
-        for theta, xi, ranges in _path_rows(n, variant[0]):
-            for alpha in product(*ranges):
-                yield new(BasisElement, (alpha, theta, xi, variant))
+        yield from _path_rows(n, variant[0])
     elif variant == "a02":
         zero = (0,) * n
         for theta, xi, _ in _path_rows(n, "a"):
-            yield new(BasisElement, (zero, theta, xi, variant))
+            yield theta, xi, zero
     else:
-        lowest = 2 if variant == "a11" else 1
         zero_xi = (0,) * n
-        for theta in _subset_bits(n, lowest):
+        for theta in _subset_bits(n, 2 if variant == "a11" else 1):
             T = frozenset(i + 1 for i, b in enumerate(theta) if b)
-            bound = super_artin_bound(T, n, variant[0])
-            for alpha in product(*(range(b + 1) for b in bound)):
-                yield new(BasisElement, (alpha, theta, zero_xi, variant))
+            yield theta, zero_xi, super_artin_bound(T, n, variant[0])
+
+
+def iter_basis(n, variant):
+    """Yield the full basis for the given variant, in canonical order: the
+    rows of iter_rows in their order, each expanded into its alphas in
+    lexicographic order.  A single pass holds one element at a time besides
+    the per-path rows of _path_rows, so it can run over bases too large to
+    keep.
+    """
+    # BasisElement(...) runs a Python-level __new__ per element; building
+    # the same tuple subclass straight from tuple.__new__ halves the pass.
+    new = tuple.__new__
+    for theta, xi, bound in iter_rows(n, variant):
+        for alpha in product(*[range(b + 1) for b in bound]):
+            yield new(BasisElement, (alpha, theta, xi, variant))
 
 
 def enumerate_basis(n, variant):

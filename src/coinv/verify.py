@@ -8,7 +8,7 @@ CHECKS and says so on stderr.
 """
 
 import sys
-from itertools import product
+from functools import lru_cache
 from math import comb, factorial
 
 from . import basis, motzkin, oracle, smirnov, symfun
@@ -101,9 +101,10 @@ def check_path_counts(n):
         if len(motzkin.enumerate_paths(m - 1, "b")) != len(paths):
             return "type A/type B count shift fails at n=%d" % m
         for p in paths:
-            floor = 1
-            for i in range(1, m + 1):
-                if p.height_after(i) < floor:
+            height = 0
+            for s in p.steps:
+                height += motzkin.STEPS[s][0]
+                if height < 1:
                     return "type A floor violated by %s" % p
     return None
 
@@ -128,29 +129,32 @@ def check_cardinality_b(n):
 
 
 def check_specializations(n):
-    """a12 elements with xi == 0 are exactly a11; with alpha == 0, exactly a02.
+    """a12 with xi = 0 is a11, a12 with alpha = 0 is a02, and b12 with
+    xi = 0 is b11, compared row by row.
 
-    Every basis is streamed once: one a12 pass collects both restrictions,
-    and b12 is filtered as it goes instead of being kept.  The bases are
-    compared as sorted lists of byte strings, one per element, which takes
-    a third of the memory of sorted exponent tuples.
+    iter_basis is the sum of the boxes {alpha : 0 <= alpha <= bound} of the
+    (theta, xi, bound) rows of iter_rows.  A box with no negative entry
+    holds 0, so it is a down-set with the single maximum `bound`, and the
+    indicators of distinct such boxes are linearly independent: two bases
+    are equal as multisets exactly when their rows are.  A row with a
+    negative entry is an empty box, which breaks that, so it is refused.
+    Every box holds alpha = 0 once, so the alpha-free part of a12 is the
+    (theta, xi) of its rows.
     """
     for m in range(1, n + 1):
-        via_12, via_02 = [], []
-        for b in basis.iter_basis(m, "a12"):
-            if not any(b.xi):
-                via_12.append(bytes(b.alpha + b.theta))
-            if not any(b.alpha):
-                via_02.append(bytes(b.theta + b.xi))
-        a11 = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "a11"))
-        if sorted(via_12) != a11:
+        rows = {}
+        for variant in basis.VARIANTS:
+            rows[variant] = list(basis.iter_rows(m, variant))
+            for row in rows[variant]:
+                if min(row[2]) < 0:
+                    return "%s row %s has a negative bound entry at n=%d" % (variant, row, m)
+        if sorted(row for row in rows["a12"] if not any(row[1])) != sorted(rows["a11"]):
             return "a12 restricted to xi=0 differs from a11 at n=%d" % m
-        a02 = sorted(bytes(b.theta + b.xi) for b in basis.iter_basis(m, "a02"))
-        if sorted(via_02) != a02:
+        if any(any(bound) for _, _, bound in rows["a02"]) or (
+            sorted(row[:2] for row in rows["a12"]) != sorted(row[:2] for row in rows["a02"])
+        ):
             return "a12 restricted to alpha=0 differs from a02 at n=%d" % m
-        via_b = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "b12") if not any(b.xi))
-        b11 = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "b11"))
-        if via_b != b11:
+        if sorted(row for row in rows["b12"] if not any(row[1])) != sorted(rows["b11"]):
             return "b12 restricted to xi=0 differs from b11 at n=%d" % m
     return None
 
@@ -327,37 +331,47 @@ def check_frobenius_routes(n):
     return None
 
 
+@lru_cache(maxsize=None)
+def _word_tally(subset):
+    """The monomials of Q_{S,n} for the IndexSubset S of {1..n-1}, as
+    {exponent vector: count} over the weakly increasing maps
+    {1..n} -> {1..n} that rise strictly at the positions in S."""
+    n = subset.n
+    strict_at = set(subset.elements)
+
+    def words(prefix, pos):
+        if pos == n:
+            yield prefix
+            return
+        lo = prefix[-1] + (1 if pos in strict_at else 0) if prefix else 1
+        for letter in range(lo, n + 1):
+            prefix.append(letter)
+            yield from words(prefix, pos + 1)
+            prefix.pop()
+
+    counts = {}
+    for w in words([], 0):
+        exps = [0] * n
+        for letter in w:
+            exps[letter - 1] += 1
+        key = tuple(exps)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def qsym_monomial_expansion(expansion):
     """Expand a QSymExpansion into monomials in n variables (test oracle).
 
     Returns a dict from exponent vectors (length n) to QuvPolynomial.
     Each Q_{S,n} contributes one word per weakly increasing map
     {1..n} -> {1..n} that rises strictly at the positions in S.  The words
-    of each subset are counted per exponent vector, and each vector's
-    polynomial is built once from integer coefficients.
+    of each subset are counted per exponent vector once per (S, n), and
+    each vector's polynomial is built once from integer coefficients.
     """
     n = expansion.n
-
-    def words(prefix, pos, strict_at):
-        if pos == n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] + (1 if pos in strict_at else 0) if prefix else 1
-        for letter in range(lo, n + 1):
-            prefix.append(letter)
-            yield from words(prefix, pos + 1, strict_at)
-            prefix.pop()
-
     tallies = {}  # exponent vector -> {(a, b, c): coefficient}
     for subset, coeff in expansion.coeffs.items():
-        counts = {}
-        for w in words([], 0, set(subset.elements)):
-            exps = [0] * n
-            for letter in w:
-                exps[letter - 1] += 1
-            key = tuple(exps)
-            counts[key] = counts.get(key, 0) + 1
-        for key, count in counts.items():
+        for key, count in _word_tally(subset).items():
             terms = tallies.setdefault(key, {})
             for monomial, co in coeff.terms.items():
                 terms[monomial] = terms.get(monomial, 0) + count * co
@@ -369,11 +383,18 @@ def qsym_monomial_expansion(expansion):
     return out
 
 
+@lru_cache(maxsize=None)
+def _piece_expansion(m, k, l):
+    """The monomial expansion of the (k, l) piece of the Frobenius series
+    of size m, shared by symmetry-witness and h-mu-dual."""
+    return qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
+
+
 def check_symmetry_witness(n):
     for m in range(1, n + 1):
         for k in range(m):
             for l in range(m - k):
-                exp = qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
+                exp = _piece_expansion(m, k, l)
                 for key, coeff in exp.items():
                     for i in range(m - 1):
                         swapped = list(key)
@@ -385,17 +406,12 @@ def check_symmetry_witness(n):
 
 def check_h_mu_dual(n):
     for m in range(1, n + 1):
-        # the monomial expansion of each (k, l) piece does not depend on mu
-        expansions = {
-            (k, l): qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
-            for k in range(m) for l in range(m - k)
-        }
         for mu in enumerate_partitions(m):
             exponent = tuple(mu.parts) + (0,) * (m - mu.length)
             for k in range(m):
                 for l in range(m - k):
                     via_theorem = symfun.h_mu_coefficient(m, k, l, mu)
-                    via_monomials = expansions[k, l].get(exponent, ZERO).substitute(u=1, v=1)
+                    via_monomials = _piece_expansion(m, k, l).get(exponent, ZERO).substitute(u=1, v=1)
                     if via_theorem != via_monomials:
                         return "h_mu dual-path fails at n=%d mu=%s (k=%d,l=%d)" % (m, mu, k, l)
     return None
@@ -522,7 +538,7 @@ CHECKS = [
     ("path-counts", check_path_counts, 8),
     ("cardinality-a", check_cardinality_a, 8),
     ("cardinality-b", check_cardinality_b, 6),
-    ("specializations", check_specializations, 6),
+    ("specializations", check_specializations, 8),
     ("hilbert-stirling-a", check_hilbert_stirling_a, 7),
     ("hilbert-stirling-b", check_hilbert_stirling_b, 5),
     ("hilbert-dimension", check_hilbert_dimension, 7),

@@ -318,6 +318,10 @@ def test_iter_basis_rejects_bad_input():
         next(iter_basis(3, "c12"))
     with pytest.raises(ValueError):
         enumerate_basis(0, "a12")
+    with pytest.raises(ValueError):
+        next(basis.iter_rows(0, "a12"))
+    with pytest.raises(ValueError):
+        next(basis.iter_rows(3, "c12"))
 
 
 def reference_unpack(pack, value):

@@ -155,6 +155,35 @@ def test_bijection_n7_csv_is_pinned(capsys):
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
 
 
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 25 s)",
+)
+def test_verify_n7_output_and_peak_memory(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coinv.cli", "verify", "--n", "7"], stdout=out, stderr=err, env=env,
+        )
+        # wait4 reaps the child and returns its resource usage; Popen is
+        # told the exit code so that it does not wait again
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    # the same 26 ok lines as verify --n 5
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "0f27944aa2233c51b04313041e6a0647a481a15b481e8a59361996f870411897"
+    err = err_path.read_text()
+    assert err == "".join(
+        "verify: %s ran at n=%d (asked 7)\n" % (name, limit) for name, _, limit in verify.CHECKS if limit < 7
+    )
+    assert "verify: specializations ran" not in err
+    # ru_maxrss is in kilobytes on Linux; the run took about 70 MB while
+    # specializations compared element lists
+    assert usage.ru_maxrss < 40 * 1024, usage.ru_maxrss
+
+
 def first_difference(out, expected):
     """None for equal texts, else the first differing line as (number, got, want).
 

@@ -3,7 +3,7 @@ replaced, and each check against a broken engine, which it must catch."""
 
 import pytest
 
-from coinv import basis, smirnov, symfun, verify
+from coinv import basis, motzkin, smirnov, symfun, verify
 from coinv.combinat import IndexSubset
 from coinv.qpoly import ZERO, q_power
 from coinv.smirnov import SegmentedWord
@@ -96,6 +96,57 @@ def test_hook_h_dual_catches_a_wrong_hook_h_coefficient(monkeypatch):
     assert verify.check_hook_h_dual(3) is not None
 
 
+def reference_check_specializations(n):
+    """The element-level check that the row comparison replaced: every
+    basis streamed from iter_basis, compared as sorted byte strings."""
+    for m in range(1, n + 1):
+        via_12, via_02 = [], []
+        for b in basis.iter_basis(m, "a12"):
+            if not any(b.xi):
+                via_12.append(bytes(b.alpha + b.theta))
+            if not any(b.alpha):
+                via_02.append(bytes(b.theta + b.xi))
+        a11 = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "a11"))
+        if sorted(via_12) != a11:
+            return "a12 restricted to xi=0 differs from a11 at n=%d" % m
+        a02 = sorted(bytes(b.theta + b.xi) for b in basis.iter_basis(m, "a02"))
+        if sorted(via_02) != a02:
+            return "a12 restricted to alpha=0 differs from a02 at n=%d" % m
+        via_b = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "b12") if not any(b.xi))
+        b11 = sorted(bytes(b.alpha + b.theta) for b in basis.iter_basis(m, "b11"))
+        if via_b != b11:
+            return "b12 restricted to xi=0 differs from b11 at n=%d" % m
+    return None
+
+
+def test_specializations_rows_agree_with_the_element_reference():
+    for n in range(1, 6):
+        assert verify.check_specializations(n) is None
+        assert reference_check_specializations(n) is None
+
+
+def test_specializations_run_at_n7():
+    # the element-level reference would expand 82M b12 elements here
+    assert verify.check_specializations(7) is None
+
+
+def mutate_rows(monkeypatch, variant, mutate):
+    """Patch basis.iter_rows so that the rows of `variant` pass through
+    mutate(list of rows); iter_basis expands the mutated rows too."""
+    iter_rows = basis.iter_rows
+
+    def mutated(n, v):
+        rows = list(iter_rows(n, v))
+        return iter(mutate(rows) if v == variant else rows)
+
+    monkeypatch.setattr(basis, "iter_rows", mutated)
+
+
+def assert_both_catch_it():
+    assert verify.check_specializations(3) is not None
+    assert reference_check_specializations(3) is not None
+
+
 @pytest.mark.parametrize("name, variant", [
     ("specializations", "a11"),
     ("specializations", "a02"),
@@ -105,6 +156,11 @@ def test_hook_h_dual_catches_a_wrong_hook_h_coefficient(monkeypatch):
     ("frobenius-specializations", "a11"),
 ])
 def test_streamed_checks_catch_a_dropped_element(monkeypatch, name, variant):
+    if name == "specializations":
+        # the check reads rows, so the last row goes
+        mutate_rows(monkeypatch, variant, lambda rows: rows[:-1])
+        assert_both_catch_it()
+        return
     iter_basis = basis.iter_basis
 
     def drop_last(n, v):
@@ -118,17 +174,77 @@ def test_streamed_checks_catch_a_dropped_element(monkeypatch, name, variant):
 
 @pytest.mark.parametrize("variant", ["a11", "a02", "b11"])
 def test_specializations_catch_a_repeated_element(monkeypatch, variant):
-    # same count, different multiset: the last element replaced by the first
-    iter_basis = basis.iter_basis
+    # same count of rows, different multiset: the last row replaced by the first
+    mutate_rows(monkeypatch, variant, lambda rows: rows[:-1] + rows[:1])
+    assert_both_catch_it()
 
-    def repeat_first(n, v):
-        elements = list(iter_basis(n, v))
-        if v == variant:
-            elements[-1] = elements[0]
-        return iter(elements)
 
-    monkeypatch.setattr(basis, "iter_basis", repeat_first)
-    assert verify.check_specializations(3) is not None
+@pytest.mark.parametrize("variant", ["a12", "a11", "b12", "b11"])
+def test_specializations_catch_a_lowered_bound(monkeypatch, variant):
+    def lower(rows):
+        # the last xi-free row with a positive bound entry loses one from
+        # its largest entry; a row with xi carries no specialization, and
+        # at n = 1 no bound is positive
+        i = max((i for i, (_, xi, bound) in enumerate(rows) if not any(xi) and max(bound) > 0), default=None)
+        if i is None:
+            return rows
+        theta, xi, bound = rows[i]
+        j = bound.index(max(bound))
+        rows[i] = theta, xi, bound[:j] + (bound[j] - 1,) + bound[j + 1:]
+        return rows
+
+    mutate_rows(monkeypatch, variant, lower)
+    assert_both_catch_it()
+
+
+def test_specializations_catch_an_a02_row_with_an_x_part(monkeypatch):
+    # the (theta, xi) still match a12, but the box now holds x_n too
+    def raise_last(rows):
+        theta, xi, bound = rows[-1]
+        rows[-1] = theta, xi, bound[:-1] + (1,)
+        return rows
+
+    mutate_rows(monkeypatch, "a02", raise_last)
+    assert_both_catch_it()
+
+
+def test_specializations_catch_a_flipped_xi_bit(monkeypatch):
+    def flip(rows):
+        theta, xi, bound = rows[-1]
+        rows[-1] = theta, xi[:-1] + (1 - xi[-1],), bound
+        return rows
+
+    mutate_rows(monkeypatch, "a12", flip)
+    assert_both_catch_it()
+
+
+def test_specializations_refuse_a_negative_bound(monkeypatch):
+    # an empty box: the rows could no longer stand for the elements
+    def empty_last(rows):
+        theta, xi, bound = rows[-1]
+        rows[-1] = theta, xi, (-1,) + bound[1:]
+        return rows
+
+    mutate_rows(monkeypatch, "a11", empty_last)
+    witness = verify.check_specializations(3)
+    assert witness == "a11 row ((0,), (0,), (-1,)) has a negative bound entry at n=1"
+
+
+def test_path_counts_catch_a_path_below_the_floor(monkeypatch):
+    enumerate_paths = motzkin.enumerate_paths
+    # MotzkinPath refuses this path, so it is forged past __post_init__
+    forged = object.__new__(motzkin.MotzkinPath)
+    object.__setattr__(forged, "steps", (motzkin.UP, motzkin.DOWN, motzkin.UP))
+    object.__setattr__(forged, "variant", "a")
+
+    def with_forged(n, variant):
+        paths = enumerate_paths(n, variant)
+        if (n, variant) == (3, "a"):
+            paths[-1] = forged
+        return paths
+
+    monkeypatch.setattr(motzkin, "enumerate_paths", with_forged)
+    assert verify.check_path_counts(3) == "type A floor violated by U D U"
 
 
 def test_a12_checks_stream_the_basis(monkeypatch):
