@@ -14,7 +14,11 @@ import os
 import sys
 from itertools import islice
 
-from . import basis, oracle, smirnov, symfun, verify
+# Every command uses basis; the other layers are imported by the commands
+# that run them, so a command does not compile and load code it never
+# calls.  Start-up is most of a small command's time when no bytecode is
+# cached.
+from . import basis
 from .combinat import Partition
 
 
@@ -137,6 +141,8 @@ def cmd_hilbert(args):
 
 
 def cmd_frobenius(args):
+    from . import symfun
+
     _check_kl(args)
     qsym = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
     if args.form == "qsym":
@@ -172,6 +178,8 @@ def cmd_frobenius(args):
 def bijection_rows(n):
     """The conversion table, grouped by bar pattern (bitmask order) and
     ordered by the underlying permutation within each group."""
+    from . import smirnov
+
     rows = sorted(smirnov.psi_table(n))
     split_labels = {}  # split tuple -> "{...}", one entry per subset of 1..n-1
     # Rows replace their entries in place, so each entry is freed as it goes.
@@ -200,6 +208,8 @@ def _kl_pairs(args):
 
 
 def cmd_hook(args):
+    from . import symfun
+
     _check_kl(args)
     rows = []
     ds = [args.d] if args.d is not None else range(args.n)
@@ -213,6 +223,8 @@ def cmd_hook(args):
 
 
 def cmd_hmu(args):
+    from . import symfun
+
     try:
         parts = tuple(int(p) for p in args.mu.split(",") if p)
         mu = Partition(parts)
@@ -227,10 +239,14 @@ def cmd_hmu(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     return verify.run_all(args.n)
 
 
 def cmd_oracle(args):
+    from . import oracle
+
     kind = args.variant[0]
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:

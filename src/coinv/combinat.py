@@ -4,14 +4,61 @@ These index the quasisymmetric and Schur expansions: a subset S of
 {1,...,n-1} corresponds to the composition of n whose partial sums are S.
 """
 
-from dataclasses import dataclass
+# Assigns a field past Record.__setattr__, which refuses every assignment.
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """An immutable record whose fields are its subclass's __slots__.
+
+    Construction takes the fields by position or keyword, assigns them and
+    then calls the subclass's __post_init__, which normalizes and validates
+    them.  Records are equal when they have the same type and equal fields,
+    hash as the tuple of their fields and cannot be changed afterwards.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError("%s takes exactly the fields (%s), each once"
+                            % (type(self).__name__, ", ".join(fields)))
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        self.__post_init__()
+
+    # The field tuples are built inline, not by a shared method, so that a
+    # tracer wrapping methods from outside sees no call per hash or compare.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self.__slots__
+            return tuple([getattr(self, f) for f in fields]) == tuple([getattr(other, f) for f in fields])
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self.__slots__]))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Partition(Record):
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -43,11 +90,10 @@ def hook_partition(n, d):
     return Partition((d + 1,) + (1,) * (n - d - 1))
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """A tuple of positive integers; the empty composition of 0 is allowed."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -66,12 +112,10 @@ class Composition:
         return iter(self.parts)
 
 
-@dataclass(frozen=True)
-class IndexSubset:
+class IndexSubset(Record):
     """A subset of {1,...,n-1} for an ambient n, kept sorted."""
 
-    elements: tuple
-    n: int
+    __slots__ = ("elements", "n")
 
     def __post_init__(self):
         elems = tuple(sorted(self.elements))

@@ -6,7 +6,7 @@ carrying both.  Type A paths must start with an up-step and stay at height
 >= 1 afterwards; type B paths simply stay at height >= 0.
 """
 
-from dataclasses import dataclass
+from .combinat import Record
 
 UP, HTHETA, HXI, DOWN = range(4)
 
@@ -16,12 +16,10 @@ STEP_CHARS = "UTXD"
 STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
+class MotzkinPath(Record):
     """An immutable decorated path; variant is "a" or "b"."""
 
-    steps: tuple
-    variant: str
+    __slots__ = ("steps", "variant")
 
     def __post_init__(self):
         steps = tuple(self.steps)

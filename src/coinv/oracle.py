@@ -13,19 +13,18 @@ from the closed form `ambient_size` and is checked against
 `DEFAULT_MONOMIAL_CAP` before anything is eliminated (for a window, before
 its first piece), and its rank from `_ideal_rank`.
 
-The hot paths are exact shortcuts of the plain definitions, which stay as
-the references the tests compare them with: invariants symmetrize one
-monomial per orbit through a precomputed action table (`reynolds`,
-`group_action`), and ideal rows are built from packed integer monomial
-codes, where the code of a product is the sum of its factors' codes and
-the fermionic sign is read from a memo (`multiply_monomials`).
+The hot paths are exact shortcuts of the plain definitions, which the
+tests keep as references (tests/oracle_reference.py): invariants symmetrize
+one monomial per orbit through a precomputed action table, and ideal rows
+are built from packed integer monomial codes, where the code of a product
+is the sum of its factors' codes and the fermionic sign is read from a memo
+(`_product_sign`).
 """
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import permutations, product, repeat
 from math import comb, gcd
-from operator import add
 
 from .qpoly import QuvPolynomial
 
@@ -121,33 +120,6 @@ def _permute_mask(mask, perm):
     return sign, new_mask
 
 
-def group_action(g, mono):
-    """Image of a monomial under a signed permutation g = (perm, signflags).
-
-    The sign collects the fermionic reordering parity and (-1) per negated
-    variable counted with its total exponent; type A elements negate
-    nothing (signflags 0).
-    """
-    perm, flags = g
-    xexp = mono.xexp
-    n = len(xexp)
-    new_x = [0] * n
-    for i, e in enumerate(xexp):
-        new_x[perm[i]] = e
-    sign = 1
-    if flags:
-        parity = 0
-        for i in range(n):
-            if flags >> i & 1:
-                total = xexp[i] + (mono.tmask >> i & 1) + (mono.xmask >> i & 1)
-                parity ^= total & 1
-        if parity:
-            sign = -1
-    s1, tm = _permute_mask(mono.tmask, perm)
-    s2, xm = _permute_mask(mono.xmask, perm)
-    return sign * s1 * s2, SuperMonomial(new_x, tm, xm)
-
-
 @lru_cache(maxsize=None)
 def _action_table(n, group_kind):
     """The group of one kind as (inverse perm, negated slots, mask images).
@@ -169,10 +141,12 @@ def _action_table(n, group_kind):
 
 
 def _table_images(mono, table):
-    """Yield group_action(g, mono) as (sign, image) for every g of the table.
+    """Yield (sign, image) of mono under every g of the table.
 
-    Images are plain (xexp, tmask, xmask) tuples, equal to the
-    SuperMonomials that `group_action` returns.
+    g sends x_i, theta_i and xi_i to the variables of slot perm[i], negated
+    when signflags marks slot i; the sign also collects the reordering
+    parity of the fermionic factors.  Images are plain (xexp, tmask, xmask)
+    tuples, equal to the SuperMonomials they stand for.
     """
     xexp, tmask, xmask = mono
     for inverse, negated, flags, mask_images in table:
@@ -213,16 +187,6 @@ def _product_sign(t1, f1, t2, f2):
     return sign
 
 
-def multiply_monomials(m1, m2):
-    """Product in the superalgebra: None if a fermionic factor repeats."""
-    x1, t1, f1 = m1
-    x2, t2, f2 = m2
-    if t1 & t2 or f1 & f2:
-        return None
-    sign = _product_sign(t1, f1, t2, f2)
-    return sign, tuple.__new__(SuperMonomial, (tuple(map(add, x1, x2)), t1 | t2, f1 | f2))
-
-
 def _monomial_codes(n, degree, width):
     """The monomials of `monomial_basis(n, degree)` as packed integers.
 
@@ -238,23 +202,6 @@ def _monomial_codes(n, degree, width):
             packed = packed << width | e
         out.append((packed << n | tmask) << n | xmask)
     return tuple(out)
-
-
-def reynolds(mono, n, group_kind):
-    """Symmetrize a monomial over the group (sum with signs).
-
-    Returns a dict mapping monomials to integer coefficients; may be empty
-    when the orbit sum cancels.
-    """
-    out = {}
-    for g in _signed_group(n, group_kind):
-        sign, image = group_action(g, mono)
-        new = out.get(image, 0) + sign
-        if new:
-            out[image] = new
-        else:
-            del out[image]
-    return out
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -319,16 +266,6 @@ class _Echelon:
                     else:
                         del row[c]
         return False
-
-
-def rank_of_rows(rows, ncols=None):
-    """Exact rank of a list of sparse integer rows."""
-    ech = _Echelon()
-    for row in rows:
-        ech.insert(row)
-        if ncols is not None and ech.rank == ncols:
-            break
-    return ech.rank
 
 
 # -- graded pieces of the quotient ----------------------------------------------

@@ -33,6 +33,10 @@ class QuvPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("QuvPolynomial is immutable")
 
+    def __reduce__(self):
+        # the default restores the slot through __setattr__, which refuses
+        return QuvPolynomial, (self.terms,)
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

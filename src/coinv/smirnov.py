@@ -255,7 +255,11 @@ def enumerate_segmented_words(content, k=None, l=None):
 
 def enumerate_segmented_permutations(n, k=None, l=None):
     """All 2^(n-1) n! segmented permutations of {1,...,n}: the segmented
-    Smirnov words of content (1^n), filtered on k and l alike."""
+    Smirnov words of content (1^n), filtered on k and l alike.
+
+    Public API: the commands stream iter_segmented_words instead, but this
+    lists the paper's SW(1^n, k, l) by name.
+    """
     return enumerate_segmented_words((1,) * n, k, l)
 
 

@@ -6,7 +6,6 @@ Q_{S,n} weighted by QuvPolynomial coefficients; subsets S are the internal
 keys and the composition picture only appears at the Schur boundary.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -15,12 +14,15 @@ from .combinat import Composition, IndexSubset, Partition, comp_of_set, set_of_c
 from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
 
-@dataclass
 class QSymExpansion:
     """A map from IndexSubset keys (shared ambient n) to QuvPolynomial."""
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    def __init__(self, n, coeffs=None):
+        self.n = n
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __repr__(self):
+        return "QSymExpansion(n=%r, coeffs=%r)" % (self.n, self.coeffs)
 
     def add(self, subset, poly):
         if subset.n != self.n:
@@ -63,12 +65,15 @@ class QSymExpansion:
         return isinstance(other, QSymExpansion) and self.n == other.n and self.coeffs == other.coeffs
 
 
-@dataclass
 class SchurExpansion:
     """A map from Partition keys (all of the same n) to QuvPolynomial."""
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    def __init__(self, n, coeffs=None):
+        self.n = n
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __repr__(self):
+        return "SchurExpansion(n=%r, coeffs=%r)" % (self.n, self.coeffs)
 
     def add(self, partition, poly):
         if partition.n != self.n:

@@ -22,7 +22,6 @@ from coinv.basis import (
     iter_basis,
     path_bound,
     stair_q,
-    stair_q_from_sets,
     super_artin_bound,
 )
 from coinv.motzkin import parse_path
@@ -144,6 +143,16 @@ def test_super_artin_bound_is_the_xi_free_staircase():
             for kind in ("a", "b", "c"):
                 expected = outcome(reference_super_artin_bound, T, n, kind)
                 assert outcome(super_artin_bound, T, n, kind) == expected, (T, n, kind)
+
+
+def stair_q_from_sets(T, S, n, kind):
+    """stair_q from the decoration sets: the product of [k+1]_q over the
+    staircase that alpha_sequence or beta_sequence gives."""
+    bound = alpha_sequence(T, S, n) if kind == "a" else beta_sequence(T, S, n)
+    out = ONE
+    for k in bound:
+        out = out * q_integer(k + 1)
+    return out
 
 
 def test_stair_q():

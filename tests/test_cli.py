@@ -519,3 +519,41 @@ def test_closed_stdout_exits_quietly():
             proc.kill()
     assert proc.returncode == 128 + signal.SIGPIPE == EXIT_CLOSED_PIPE
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+# Runs one command in a fresh interpreter and prints its exit code and every
+# module loaded by the end.  -S keeps site hooks from loading modules of
+# their own, so what is listed is the interpreter's and coinv's.
+IMPORT_PROBE = """\
+import contextlib, io, sys
+from coinv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+CLI_CORE = {"coinv", "coinv.cli", "coinv.basis", "coinv.combinat", "coinv.motzkin", "coinv.qpoly"}
+
+IMPORT_BUDGET = [
+    (("hilbert", "--n", "3"), set()),
+    (("basis", "--n", "3", "--variant", "b12"), set()),
+    (("frobenius", "--n", "3"), {"coinv.symfun"}),
+    (("hmu", "--n", "3", "--mu", "2,1"), {"coinv.symfun"}),
+    (("hook", "--n", "3"), {"coinv.symfun"}),
+    (("bijection", "--n", "3"), {"coinv.smirnov"}),
+    (("oracle", "--n", "2"), {"coinv.oracle"}),
+]
+
+
+@pytest.mark.parametrize("argv, extra", [pytest.param(*case, id=case[0][0]) for case in IMPORT_BUDGET])
+def test_each_command_imports_only_the_layers_it_runs(argv, extra):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert {m for m in loaded if m.startswith("coinv")} == CLI_CORE | extra
+    assert "dataclasses" not in loaded

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -99,3 +101,39 @@ def test_path_literals():
     assert parse_path("U U D", "a") == MotzkinPath((UP, UP, DOWN), "a")
     with pytest.raises(ValueError):
         parse_path("U Z", "a")
+
+
+def test_path_record_semantics():
+    path = MotzkinPath([UP, HXI, UP, DOWN], "b")
+    values = ((UP, HXI, UP, DOWN), "b")
+    assert (path.steps, path.variant) == values
+    assert hash(path) == hash(values)
+    assert repr(path) == "MotzkinPath(steps=(0, 2, 0, 3), variant='b')"
+    assert path == MotzkinPath(variant="b", steps=(UP, HXI, UP, DOWN))
+    assert path != MotzkinPath((UP, HXI, UP, DOWN), "a")
+    assert path != values and path.__eq__(values) is NotImplemented
+    for name in ("steps", "variant"):
+        with pytest.raises(AttributeError, match="cannot assign to field %r" % name):
+            setattr(path, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field %r" % name):
+            delattr(path, name)
+    for copied in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+        assert copied == path and hash(copied) == hash(path) and type(copied) is MotzkinPath
+    with pytest.raises(TypeError):
+        MotzkinPath((UP,))
+    with pytest.raises(TypeError):
+        MotzkinPath((UP,), "a", steps=(UP,))
+
+
+@pytest.mark.parametrize("steps, variant, message", [
+    ((UP,), "c", "variant must be 'a' or 'b'"),
+    ((5,), "b", "unknown step kind in (5,)"),
+    ((), "a", "type A paths need length >= 1"),
+    ((HTHETA,), "a", "type A paths must start with an up-step"),
+    ((UP, DOWN), "a", "path dips below its floor at step 2"),
+    ((HXI, DOWN), "b", "path dips below its floor at step 2"),
+])
+def test_path_validation_messages(steps, variant, message):
+    with pytest.raises(ValueError) as info:
+        MotzkinPath(steps=steps, variant=variant)
+    assert str(info.value) == message

@@ -12,16 +12,13 @@ from coinv.oracle import (
     SuperMonomial,
     ambient_size,
     default_max_x_degree,
-    group_action,
     hilbert_via_oracle,
     invariant_subspace,
     monomial_basis,
-    multiply_monomials,
     quotient_dimension,
-    rank_of_rows,
-    reynolds,
 )
 from coinv.qpoly import QuvPolynomial
+from oracle_reference import group_action, multiply_monomials, rank_of_rows, reynolds
 
 
 def all_degrees(n, kind):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from coinv import smirnov, verify
@@ -7,6 +10,7 @@ from coinv.qpoly import ONE, ZERO, QuvPolynomial, q_power
 from coinv.smirnov import enumerate_segmented_words, sminv
 from coinv.symfun import (
     QSymExpansion,
+    SchurExpansion,
     SlinkyResult,
     frobenius_qsym,
     frobenius_schur,
@@ -290,3 +294,45 @@ def test_hook_asc_characterization_matches_the_generator_version():
         for b in enumerate_basis(n, "a12"):
             for d in range(n):
                 assert hook_asc_characterization(b, d) == reference_hook_asc_characterization(b, d), (b, d)
+
+
+def expansion_examples():
+    qsym = QSymExpansion(2)
+    qsym.add(IndexSubset((1,), 2), ONE)
+    schur = SchurExpansion(2)
+    schur.add(Partition((1, 1)), QuvPolynomial({(1, 0, 0): 2}))
+    return [
+        (qsym, "QSymExpansion(n=2, coeffs={IndexSubset(elements=(1,), n=2): QuvPolynomial(1)})"),
+        (schur, "SchurExpansion(n=2, coeffs={Partition(parts=(1, 1)): QuvPolynomial(2q)})"),
+        (QSymExpansion(3), "QSymExpansion(n=3, coeffs={})"),
+        (SchurExpansion(3), "SchurExpansion(n=3, coeffs={})"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_expansion_record_semantics(index):
+    expansion, text = expansion_examples()[index]
+    cls = type(expansion)
+    assert repr(expansion) == text
+    assert expansion == cls(expansion.n, dict(expansion.coeffs))
+    assert expansion == cls(coeffs=dict(expansion.coeffs), n=expansion.n)
+    assert expansion != cls(expansion.n + 1, dict(expansion.coeffs))
+    other = SchurExpansion if cls is QSymExpansion else QSymExpansion
+    assert expansion != other(expansion.n, dict(expansion.coeffs))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(expansion)
+    for copied in (copy.copy(expansion), copy.deepcopy(expansion), pickle.loads(pickle.dumps(expansion))):
+        assert type(copied) is cls and copied == expansion and repr(copied) == text
+    # the expansions are mutable, and each starts with a dict of its own
+    assert cls(1).coeffs is not cls(1).coeffs
+    expansion.n = 7
+    assert expansion.n == 7
+
+
+def test_expansion_validation_messages():
+    with pytest.raises(ValueError) as info:
+        QSymExpansion(2).add(IndexSubset((), 3), ONE)
+    assert str(info.value) == "subset ambient 3 does not match n=2"
+    with pytest.raises(ValueError) as info:
+        SchurExpansion(2).add(Partition((1,)), ONE)
+    assert str(info.value) == "partition of 1 does not match n=2"
