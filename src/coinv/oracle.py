@@ -15,10 +15,11 @@ its first piece), and its rank from `_ideal_rank`.
 
 The hot paths are exact shortcuts of the plain definitions, which the
 tests keep as references (tests/oracle_reference.py): invariants symmetrize
-one monomial per orbit through a precomputed action table, and ideal rows
-are built from packed integer monomial codes, where the code of a product
-is the sum of its factors' codes and the fermionic sign is read from a memo
-(`_product_sign`).
+one monomial per orbit through a precomputed S_n action table, type B ones
+too (the sign flips only scale or cancel an S_n orbit sum), and ideal rows
+are built from packed integer monomial codes, made once per degree, where
+the code of a product is the sum of its factors' codes and the fermionic
+sign is read from a memo (`_product_sign`).
 """
 
 from functools import lru_cache
@@ -65,45 +66,38 @@ def _mask_bits(mask):
     return out
 
 
+@lru_cache(maxsize=None)
 def _compositions_of(total, slots):
     """Weak compositions of total into slots parts, lexicographic."""
     if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, slots - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest for first in range(total + 1) for rest in _compositions_of(total - first, slots - 1)
+    )
+
+
+def _masks_of(n, count):
+    """The masks over n variables with count bits set, ascending."""
+    return [m for m in range(1 << n) if m.bit_count() == count]
+
+
+def _monomials(n, degree):
+    """The monomials of the multidegree (r, s, t) in canonical order, as
+    plain (xexp, tmask, xmask) tuples; built afresh on every call."""
+    r, s, t = degree
+    if s > n or t > n:
+        return []
+    masks_s, masks_t = _masks_of(n, s), _masks_of(n, t)
+    return [(xexp, tm, xm) for xexp in _compositions_of(r, n) for tm in masks_s for xm in masks_t]
 
 
 @lru_cache(maxsize=None)
 def monomial_basis(n, degree):
     """All monomials of the multidegree (r, s, t) in canonical order."""
-    r, s, t = degree
-    if s > n or t > n:
-        return ()
-    masks_s = [m for m in range(1 << n) if m.bit_count() == s]
-    masks_t = [m for m in range(1 << n) if m.bit_count() == t]
-    out = []
-    for xexp in _compositions_of(r, n):
-        for tm in masks_s:
-            for xm in masks_t:
-                out.append(SuperMonomial(xexp, tm, xm))
-    return tuple(out)
+    return tuple(tuple.__new__(SuperMonomial, mono) for mono in _monomials(n, degree))
 
 
 # -- group actions ------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _signed_group(n, group_kind):
-    """The group of one kind as (perm, signflags) pairs, signflags bit i
-    negating slot i: the symmetric group (type A, negating nothing) or the
-    hyperoctahedral group (type B)."""
-    if group_kind not in ("a", "b"):
-        raise ValueError("group_kind must be 'a' or 'b'")
-    signs = range(1 << n) if group_kind == "b" else (0,)
-    return tuple((perm, flags) for perm in permutations(range(n)) for flags in signs)
 
 
 def _permute_mask(mask, perm):
@@ -121,45 +115,36 @@ def _permute_mask(mask, perm):
 
 
 @lru_cache(maxsize=None)
-def _action_table(n, group_kind):
-    """The group of one kind as (inverse perm, negated slots, mask images).
+def _action_table(n):
+    """The symmetric group S_n as (inverse perm, mask images) pairs.
 
-    One entry per group element, in the order of `_signed_group`;
-    mask_images[mask] is `_permute_mask(mask, perm)`,
-    so the fermionic part of the action becomes two lookups.
+    One entry per permutation, in the order of `itertools.permutations`;
+    mask_images[mask] is `_permute_mask(mask, perm)`, so the fermionic
+    part of the action becomes two lookups.  Type B needs no table of its
+    own: see `invariant_subspace`.
     """
-    mask_images = {}
     table = []
-    for perm, flags in _signed_group(n, group_kind):
-        if perm not in mask_images:
-            mask_images[perm] = tuple(_permute_mask(mask, perm) for mask in range(1 << n))
+    for perm in permutations(range(n)):
         inverse = [0] * n
         for i, p in enumerate(perm):
             inverse[p] = i
-        table.append((tuple(inverse), tuple(_mask_bits(flags)), flags, mask_images[perm]))
+        table.append((tuple(inverse), tuple(_permute_mask(mask, perm) for mask in range(1 << n))))
     return tuple(table)
 
 
 def _table_images(mono, table):
-    """Yield (sign, image) of mono under every g of the table.
+    """Yield (sign, image) of mono under every permutation of the table.
 
-    g sends x_i, theta_i and xi_i to the variables of slot perm[i], negated
-    when signflags marks slot i; the sign also collects the reordering
-    parity of the fermionic factors.  Images are plain (xexp, tmask, xmask)
-    tuples, equal to the SuperMonomials they stand for.
+    The permutation sends x_i, theta_i and xi_i to the variables of slot
+    perm[i]; the sign is the reordering parity of the fermionic factors.
+    Images are plain (xexp, tmask, xmask) tuples, equal to the
+    SuperMonomials they stand for.
     """
     xexp, tmask, xmask = mono
-    for inverse, negated, flags, mask_images in table:
+    for inverse, mask_images in table:
         s1, tm = mask_images[tmask]
         s2, xm = mask_images[xmask]
-        sign = s1 * s2
-        if flags:
-            parity = (flags & tmask).bit_count() + (flags & xmask).bit_count()
-            for i in negated:
-                parity += xexp[i]
-            if parity & 1:
-                sign = -sign
-        yield sign, (tuple([xexp[i] for i in inverse]), tm, xm)
+        yield s1 * s2, (tuple([xexp[i] for i in inverse]), tm, xm)
 
 
 # Reordering sign of a product, keyed by the masks (tmask1, xmask1, tmask2,
@@ -187,20 +172,29 @@ def _product_sign(t1, f1, t2, f2):
     return sign
 
 
+@lru_cache(maxsize=None)
 def _monomial_codes(n, degree, width):
     """The monomials of `monomial_basis(n, degree)` as packed integers.
 
     A code is (x exponents in base 2**width, x_1 lowest) << 2n | tmask << n
     | xmask.  For two monomials with disjoint masks whose exponents add up
     to less than 2**width, the code of the product monomial is the sum of
-    the codes.
+    the codes.  Built from the compositions and masks directly, in the
+    same order, and once per (n, degree, width): a window asks for each
+    degree's codes once as an ambient piece and again as factors and
+    complements of every piece above it.
     """
+    r, s, t = degree
+    if s > n or t > n:
+        return ()
+    masks = [tm << n | xm for tm in _masks_of(n, s) for xm in _masks_of(n, t)]
     out = []
-    for xexp, tmask, xmask in monomial_basis(n, degree):
+    for xexp in _compositions_of(r, n):
         packed = 0
         for e in reversed(xexp):
             packed = packed << width | e
-        out.append((packed << n | tmask) << n | xmask)
+        packed <<= 2 * n
+        out.extend([packed | m for m in masks])
     return tuple(out)
 
 
@@ -249,11 +243,14 @@ class _Echelon:
                 pivots[lead] = row
                 return True
             a = pivot[lead]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            if ma != 1:
-                for c in row:
-                    row[c] *= ma
+            if a == 1:
+                mb = b
+            else:
+                g = gcd(a, b)
+                ma, mb = a // g, b // g
+                if ma != 1:
+                    for c in row:
+                        row[c] *= ma
             for c, v in pivot.items():
                 w = get(c)
                 if w is None:
@@ -280,13 +277,33 @@ def invariant_subspace(n, group_kind, degree):
     symmetrized: if g.m = e.m' with e = +-1, then R(m') = e.R(m).  Vectors
     are sparse dicts over the canonical monomial index of the degree, in
     descending order of their pivot (largest) column.
+
+    Type B symmetrizes through S_n alone.  Write deg_i(m) for the total
+    degree of slot i (its x exponent plus its theta and xi bits); negating
+    the slots of a set F multiplies m by (-1)^(sum of deg_i over F), so the
+    2^n sign flips sum to 2^n when every deg_i is even and to 0 otherwise.
+    Hence R_B(m) = 2^n R_A(m) for a monomial with even slots, and
+    R_B(m) = 0 for any other; the rows are those of the hyperoctahedral sum.
     """
-    basis = monomial_basis(n, degree)
+    if group_kind not in ("a", "b"):
+        raise ValueError("group_kind must be 'a' or 'b'")
+    if group_kind == "b" and sum(degree) & 1:
+        return ()  # the slot degrees add up to an odd total, so one is odd
+    # each degree is symmetrized once, so its monomials are not kept
+    basis = _monomials(n, degree)
     index = {m: i for i, m in enumerate(basis)}
-    table = _action_table(n, group_kind)
+    table = _action_table(n)
+    shift = n if group_kind == "b" else 0
     ech = _Echelon()
     known = {}  # later orbit member -> (e, R(first member))
     for i, mono in enumerate(basis):
+        if shift:
+            xexp, tmask, xmask = mono
+            odd = tmask ^ xmask
+            for slot, e in enumerate(xexp):
+                odd ^= (e & 1) << slot
+            if odd:
+                continue
         if i in known:
             sign, row = known.pop(i)
             if sign < 0:
@@ -298,7 +315,7 @@ def invariant_subspace(n, group_kind, degree):
                 j = index[image]
                 sums[j] = sums.get(j, 0) + sign
                 signs.setdefault(j, sign)
-            row = {j: c for j, c in sums.items() if c}
+            row = {j: c << shift for j, c in sums.items() if c}
             del signs[i]
             for j, sign in signs.items():
                 known[j] = (sign, row)
@@ -357,6 +374,7 @@ def _ideal_rank(n, group_kind, degree):
     low = (1 << 2 * n) - 1
     half = (1 << n) - 1
     ech = _Echelon()
+    pivots = ech.pivots
     for er, es, et in product(range(r + 1), range(s + 1), range(t + 1)):
         E = (er, es, et)
         if E == (0, 0, 0):
@@ -381,9 +399,9 @@ def _ideal_rank(n, group_kind, degree):
                     ]
                 if terms:
                     ech.insert({index[fcode + code]: c for fcode, c in terms})
-                    if ech.rank == ncols:
+                    if len(pivots) == ncols:
                         return ncols
-    return ech.rank
+    return len(pivots)
 
 
 def default_max_x_degree(n, group_kind):

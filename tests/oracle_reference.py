@@ -1,15 +1,65 @@
 """The oracle's plain definitions, kept as references for its fast paths.
 
-`invariant_subspace` symmetrizes through `oracle._action_table`, and
-`oracle._ideal_rank` builds its rows from packed monomial codes; the tests
-compare both against these definitions: the signed group acting on one
-monomial at a time, the Reynolds sum over the group, the superalgebra
-product of two monomials, and the exact rank of a list of rows.
+`invariant_subspace` symmetrizes through the S_n table `oracle._action_table`,
+type B included, and `oracle._ideal_rank` builds its rows from packed
+monomial codes; the tests compare both against these definitions: the
+signed group acting on one monomial at a time, the Reynolds sum over the
+group, the signed action table over the whole hyperoctahedral group, the
+superalgebra product of two monomials, and the exact rank of a list of rows.
 """
 
+from functools import lru_cache
+from itertools import permutations
 from operator import add
 
-from coinv.oracle import SuperMonomial, _Echelon, _permute_mask, _product_sign, _signed_group
+from coinv.oracle import SuperMonomial, _Echelon, _mask_bits, _permute_mask, _product_sign
+
+
+@lru_cache(maxsize=None)
+def signed_group(n, group_kind):
+    """The group of one kind as (perm, signflags) pairs, signflags bit i
+    negating slot i: the symmetric group (type A, negating nothing) or the
+    hyperoctahedral group (type B)."""
+    if group_kind not in ("a", "b"):
+        raise ValueError("group_kind must be 'a' or 'b'")
+    signs = range(1 << n) if group_kind == "b" else (0,)
+    return tuple((perm, flags) for perm in permutations(range(n)) for flags in signs)
+
+
+@lru_cache(maxsize=None)
+def signed_action_table(n, group_kind):
+    """The group of one kind as (inverse perm, negated slots, flags, mask
+    images), one entry per element in the order of `signed_group`;
+    mask_images[mask] is `_permute_mask(mask, perm)`."""
+    table = []
+    for perm, flags in signed_group(n, group_kind):
+        inverse = [0] * n
+        for i, p in enumerate(perm):
+            inverse[p] = i
+        images = tuple(_permute_mask(mask, perm) for mask in range(1 << n))
+        table.append((tuple(inverse), tuple(_mask_bits(flags)), flags, images))
+    return tuple(table)
+
+
+def signed_table_images(mono, table):
+    """Yield (sign, image) of mono under every g of a `signed_action_table`.
+
+    g sends x_i, theta_i and xi_i to the variables of slot perm[i], negated
+    when signflags marks slot i; the sign also collects the reordering
+    parity of the fermionic factors.
+    """
+    xexp, tmask, xmask = mono
+    for inverse, negated, flags, mask_images in table:
+        s1, tm = mask_images[tmask]
+        s2, xm = mask_images[xmask]
+        sign = s1 * s2
+        if flags:
+            parity = (flags & tmask).bit_count() + (flags & xmask).bit_count()
+            for i in negated:
+                parity += xexp[i]
+            if parity & 1:
+                sign = -sign
+        yield sign, (tuple([xexp[i] for i in inverse]), tm, xm)
 
 
 def group_action(g, mono):
@@ -46,7 +96,7 @@ def reynolds(mono, n, group_kind):
     when the orbit sum cancels.
     """
     out = {}
-    for g in _signed_group(n, group_kind):
+    for g in signed_group(n, group_kind):
         sign, image = group_action(g, mono)
         new = out.get(image, 0) + sign
         if new:

@@ -14,6 +14,7 @@ import pytest
 from coinv import basis, cli, oracle, smirnov, verify
 from coinv.basis import BasisElement
 from coinv.cli import EXIT_CLOSED_PIPE, main
+from coinv.qpoly import QuvPolynomial
 
 from golden import BIJECTION_TABLES
 
@@ -155,32 +156,50 @@ def test_bijection_n7_csv_is_pinned(capsys):
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
 
 
+def run_measured(tmp_path, *argv):
+    """Run `coinv argv` in a child process; return its exit code, stdout
+    bytes, stderr text and resource usage."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "coinv.cli", *argv], stdout=out, stderr=err, env=env)
+        # wait4 reaps the child and returns its resource usage; Popen is
+        # told the exit code so that it does not wait again
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out_path.read_bytes(), err_path.read_text(), usage
+
+
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
     reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 25 s)",
 )
 def test_verify_n7_output_and_peak_memory(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out_path, err_path = tmp_path / "out", tmp_path / "err"
-    with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "coinv.cli", "verify", "--n", "7"], stdout=out, stderr=err, env=env,
-        )
-        # wait4 reaps the child and returns its resource usage; Popen is
-        # told the exit code so that it does not wait again
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
+    returncode, out, err, usage = run_measured(tmp_path, "verify", "--n", "7")
+    assert returncode == 0
     # the same 26 ok lines as verify --n 5
-    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(out).hexdigest()
     assert digest == "0f27944aa2233c51b04313041e6a0647a481a15b481e8a59361996f870411897"
-    err = err_path.read_text()
     assert err == "".join(
         "verify: %s ran at n=%d (asked 7)\n" % (name, limit) for name, _, limit in verify.CHECKS if limit < 7
     )
     assert "verify: specializations ran" not in err
     # ru_maxrss is in kilobytes on Linux; the run took about 70 MB while
     # specializations compared element lists
+    assert usage.ru_maxrss < 40 * 1024, usage.ru_maxrss
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 20 s)",
+)
+def test_oracle_n4_output_and_peak_memory(tmp_path):
+    returncode, out, err, usage = run_measured(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
+    assert returncode == 0 and err == ""
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == "b9f60bdeb4add193a47f3c6b80176cab4f307a5f77465b67f1652deaedd4ec82"
+    # ru_maxrss is in kilobytes on Linux; the run took about 28 MB when the
+    # monomial codes went through SuperMonomial lists
     assert usage.ru_maxrss < 40 * 1024, usage.ru_maxrss
 
 
@@ -404,6 +423,35 @@ def test_oracle_type_b_n3_needs_no_long(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "4", "--variant", "b12")
     assert code == 2
     assert "--long" in err
+
+
+def test_oracle_truncated_window_names_the_band(capsys, monkeypatch):
+    """A window too short for the quotient exits 1 and says so; the series
+    it did compute is checked up to its top x-degree only."""
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--max-x-degree", "2")
+    assert code == 1
+    assert out == (
+        "Hilbert series: q + u + v + 1\n"
+        "complete: False\n"
+        "degree (0, 0, 0): ambient 1, ideal rank 0, quotient 1\n"
+        "degree (0, 0, 1): ambient 2, ideal rank 1, quotient 1\n"
+        "degree (0, 1, 0): ambient 2, ideal rank 1, quotient 1\n"
+        "degree (1, 0, 0): ambient 2, ideal rank 1, quotient 1\n"
+    )
+    assert err == "truncation band is nonzero: x-degrees 1..2 hold (1, 0, 0); raise --max-x-degree\n"
+    # the conjecture reaches x-degree 3 at n=3; below it the window agrees
+    code, _, err = run_cli(capsys, "oracle", "--n", "3", "--max-x-degree", "2")
+    assert code == 1
+    assert err.startswith("truncation band is nonzero: x-degrees 1..2 hold (1, 0, 0), ")
+    assert "MISMATCH" not in err
+    # a disagreement inside the window is still a mismatch
+    monkeypatch.setattr(basis, "hilbert_series", lambda n, variant: QuvPolynomial({(0, 0, 0): 2}))
+    code, _, err = run_cli(capsys, "oracle", "--n", "2", "--max-x-degree", "2")
+    assert code == 1
+    assert err.splitlines() == [
+        "truncation band is nonzero: x-degrees 1..2 hold (1, 0, 0); raise --max-x-degree",
+        "MISMATCH against the conjectural series: 2",
+    ]
 
 
 @pytest.mark.parametrize("variant", ["a11", "a02", "b11"])

@@ -18,7 +18,15 @@ from coinv.oracle import (
     quotient_dimension,
 )
 from coinv.qpoly import QuvPolynomial
-from oracle_reference import group_action, multiply_monomials, rank_of_rows, reynolds
+from oracle_reference import (
+    group_action,
+    multiply_monomials,
+    rank_of_rows,
+    reynolds,
+    signed_action_table,
+    signed_group,
+    signed_table_images,
+)
 
 
 def all_degrees(n, kind):
@@ -147,20 +155,25 @@ def test_multiply_monomials_matches_bit_loop_on_all_mask_pairs():
 
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_action_table_matches_group_action(kind):
+    """Type A checks the oracle's S_n table; type B, which the oracle never
+    tabulates, the reference's hyperoctahedral table."""
     for n in (1, 2, 3):
-        group = oracle._signed_group(n, kind)
-        table = oracle._action_table(n, kind)
+        group = signed_group(n, kind)
+        if kind == "a":
+            table, table_images = oracle._action_table(n), oracle._table_images
+        else:
+            table, table_images = signed_action_table(n, kind), signed_table_images
         assert len(table) == len(group)
         for r, s, t in product(range(4), range(n + 1), range(n + 1)):
             for mono in monomial_basis(n, (r, s, t)):
                 expected = [group_action(g, mono) for g in group]
-                assert list(oracle._table_images(mono, table)) == expected
+                assert list(table_images(mono, table)) == expected
 
 
-@pytest.mark.parametrize("kind,n", [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2)])
-def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypatch):
-    """Same rows, in the same order, and the same echelon basis as
-    symmetrizing every monomial with reynolds."""
+def check_invariants_against(n, kind, symmetrize, monkeypatch):
+    """invariant_subspace(n, kind, D) for every D of the default window
+    inserts the rows of symmetrize(mono) over every monomial, in order, and
+    keeps their echelon basis."""
     inserted = []
     real_insert = oracle._Echelon.insert
 
@@ -174,7 +187,7 @@ def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypa
         index = {m: i for i, m in enumerate(ambient)}
         rows = []
         for mono in ambient:
-            vec = reynolds(mono, n, kind)
+            vec = symmetrize(mono)
             if vec:
                 rows.append({index[m]: c for m, c in vec.items()})
         reference = RebuildingEchelon()
@@ -187,6 +200,47 @@ def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypa
         # it stops at full rank, after which every row is dependent
         assert inserted == rows[:len(inserted)], degree
         assert len(inserted) == len(rows) or len(expected) == len(ambient), degree
+
+
+@pytest.mark.parametrize("kind,n", [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2)])
+def test_invariant_subspace_matches_reynolds_on_every_monomial(kind, n, monkeypatch):
+    """Same rows, in the same order, and the same echelon basis as
+    symmetrizing every monomial with reynolds."""
+    check_invariants_against(n, kind, lambda mono: reynolds(mono, n, kind), monkeypatch)
+
+
+def test_type_b_invariants_at_n3_match_the_hyperoctahedral_sum(monkeypatch):
+    """The S_n orbit sums of even monomials, times 2^3, are the rows of the
+    full sum over the 48 elements of the reference table."""
+    table = signed_action_table(3, "b")
+
+    def symmetrize(mono):
+        out = {}
+        for sign, image in signed_table_images(mono, table):
+            out[image] = out.get(image, 0) + sign
+        return {m: c for m, c in out.items() if c}
+
+    check_invariants_against(3, "b", symmetrize, monkeypatch)
+
+
+def packed_codes(n, degree, width):
+    """The monomials of monomial_basis(n, degree), packed as the oracle's
+    codes are defined."""
+    out = []
+    for xexp, tmask, xmask in monomial_basis(n, degree):
+        packed = 0
+        for e in reversed(xexp):
+            packed = packed << width | e
+        out.append((packed << n | tmask) << n | xmask)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_monomial_codes_pack_the_monomial_basis(kind):
+    for n in (1, 2, 3):
+        for degree in all_degrees(n, kind):
+            for width in range(1, 6):
+                assert oracle._monomial_codes(n, degree, width) == packed_codes(n, degree, width), (n, degree, width)
 
 
 def super_monomial_ideal_rows(n, kind, degree):
