@@ -241,21 +241,26 @@ class _Packing:
         return QuvPolynomial(terms)
 
 
-def _height_series(n, kind):
+@lru_cache(maxsize=8)
+def _height_series(n, kind, start=None):
     """The a12 (kind "a") or b12 (kind "b") Hilbert series by recursion
-    over the path height.
+    over the path height, restricted to the elements whose first `start`
+    positions are bare up-steps with x-exponent 0.
 
     The state after step i is the height h_i.  A step multiplies by its
     weight 1, u, v or uv and by the q-integer of the staircase entry it
-    fixes: [h_i]_q in type A, [h_{i-1} + h_i + 1]_q in type B.  Type A
-    paths start with the forced up-step, whose factor is [1]_q = 1.
+    fixes: [h_i]_q in type A, [h_{i-1} + h_i + 1]_q in type B.  The walk
+    starts at height `start` after `start` steps, with weight 1.  The
+    default start is the floor, which every element passes: 1 in type A,
+    whose forced first up-step has the factor [1]_q = 1, and 0 in type B.
     """
     pack = _Packing(n, kind)
     q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
     moves = [(dh, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
     floor = 1 if kind == "a" else 0
-    layer = {1: 1} if kind == "a" else {0: 1}
-    for _ in range(n - 1 if kind == "a" else n):
+    start = floor if start is None else start
+    layer = {start: 1}
+    for _ in range(n - start):
         nxt = {}
         for h, value in layer.items():
             fanout = {}

@@ -4,9 +4,11 @@ Schur expansion through the slinky straightening rule.
 The Frobenius series is a sum of fundamental quasisymmetric functions
 Q_{S,n} weighted by QuvPolynomial coefficients; subsets S are the internal
 keys and the composition picture only appears at the Schur boundary.
+
+Every coefficient reads one of basis's two path-state engines, the ascent
+table or the path-height walk; none builds a basis element.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import basis as basis_mod
@@ -14,24 +16,48 @@ from .combinat import Composition, IndexSubset, Partition, comp_of_set, set_of_c
 from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
 
-class QSymExpansion:
-    """A map from IndexSubset keys (shared ambient n) to QuvPolynomial."""
+class _Expansion:
+    """A map from keys of one size n to QuvPolynomial.  Subclasses name the
+    keys' json field, their order and the error for a key of another size."""
 
     def __init__(self, n, coeffs=None):
         self.n = n
         self.coeffs = {} if coeffs is None else coeffs
 
     def __repr__(self):
-        return "QSymExpansion(n=%r, coeffs=%r)" % (self.n, self.coeffs)
+        return "%s(n=%r, coeffs=%r)" % (type(self).__name__, self.n, self.coeffs)
 
-    def add(self, subset, poly):
-        if subset.n != self.n:
-            raise ValueError("subset ambient %d does not match n=%d" % (subset.n, self.n))
-        new = self.coeffs.get(subset, ZERO) + poly
+    def add(self, key, poly):
+        if key.n != self.n:
+            raise ValueError(self._mismatch % (key.n, self.n))
+        new = self.coeffs.get(key, ZERO) + poly
         if new:
-            self.coeffs[subset] = new
+            self.coeffs[key] = new
         else:
-            self.coeffs.pop(subset, None)
+            self.coeffs.pop(key, None)
+
+    def sorted_items(self):
+        return sorted(self.coeffs.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "coeffs": [{self._field: list(key), "coeff": p.to_json()} for key, p in self.sorted_items()],
+        }
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.n == other.n and self.coeffs == other.coeffs
+
+
+class QSymExpansion(_Expansion):
+    """A map from IndexSubset keys (shared ambient n) to QuvPolynomial."""
+
+    _field = "subset"
+    _mismatch = "subset ambient %d does not match n=%d"
+    add = _Expansion.add  # its own entry, where perfbench's tracer counts QSym adds
+
+    def _sort_key(self, subset):
+        return subset.bitmask()
 
     def coefficient(self, subset):
         return self.coeffs.get(subset, ZERO)
@@ -49,53 +75,16 @@ class QSymExpansion:
             out.add(subset, poly.substitute(**kwargs))
         return out
 
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].bitmask())
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "coeffs": [
-                {"subset": list(s.elements), "coeff": p.to_json()}
-                for s, p in self.sorted_items()
-            ],
-        }
+class SchurExpansion(_Expansion):
+    """A map from Partition keys (all of the same n) to QuvPolynomial,
+    ordered lexicographically ascending (columns first)."""
 
-    def __eq__(self, other):
-        return isinstance(other, QSymExpansion) and self.n == other.n and self.coeffs == other.coeffs
+    _field = "partition"
+    _mismatch = "partition of %d does not match n=%d"
 
-
-class SchurExpansion:
-    """A map from Partition keys (all of the same n) to QuvPolynomial."""
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.coeffs = {} if coeffs is None else coeffs
-
-    def __repr__(self):
-        return "SchurExpansion(n=%r, coeffs=%r)" % (self.n, self.coeffs)
-
-    def add(self, partition, poly):
-        if partition.n != self.n:
-            raise ValueError("partition of %d does not match n=%d" % (partition.n, self.n))
-        new = self.coeffs.get(partition, ZERO) + poly
-        if new:
-            self.coeffs[partition] = new
-        else:
-            self.coeffs.pop(partition, None)
-
-    def sorted_items(self):
-        """Partitions in lexicographic ascending order (columns first)."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].parts)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "coeffs": [
-                {"partition": list(p.parts), "coeff": c.to_json()}
-                for p, c in self.sorted_items()
-            ],
-        }
+    def _sort_key(self, partition):
+        return partition.parts
 
     def latex(self):
         pieces = []
@@ -103,9 +92,6 @@ class SchurExpansion:
             sub = " ".join(str(x) for x in p.parts)
             pieces.append("\\left(%s\\right) s_{%s}" % (c.latex(), sub))
         return " + ".join(pieces) if pieces else "0"
-
-    def __eq__(self, other):
-        return isinstance(other, SchurExpansion) and self.n == other.n and self.coeffs == other.coeffs
 
 
 # -- the Frobenius series ------------------------------------------------------
@@ -174,7 +160,6 @@ def slinky(comp):
         raise ValueError("composition parts must be positive")
     if not parts:
         return SlinkyResult(1, Partition(()))
-    _two_row_selftest()
     occupied = set()
     sign_exponent = 0
     for r, part in enumerate(parts):
@@ -229,37 +214,6 @@ def straighten(comp):
     return SlinkyResult(-1 if inversions % 2 else 1, shape)
 
 
-_selftest_done = False
-
-
-def _two_row_selftest():
-    """Pin the sign convention: s_(a,b) = -s_(b-1,a+1) on two-part compositions.
-
-    Runs once, over all two-part compositions of total <= 8, before the
-    slinky is first used.  The swapped composition may degenerate (a zero
-    part); those cases must vanish on the original side.
-    """
-    global _selftest_done
-    if _selftest_done:
-        return
-    _selftest_done = True
-    for total in range(2, 9):
-        for a in range(1, total):
-            b = total - a
-            if b == 1:
-                # the swap target (0, a+1) degenerates; nothing to compare
-                continue
-            left = _slinky_raw((a, b))
-            right = _slinky_raw((b - 1, a + 1))
-            if left.shape != right.shape or left.sign != -right.sign:
-                _selftest_done = False
-                raise AssertionError("two-row self-test failed at (%d, %d)" % (a, b))
-
-
-def _slinky_raw(parts):
-    return slinky(Composition(tuple(parts)))
-
-
 # -- Schur expansion -----------------------------------------------------------
 
 
@@ -306,47 +260,13 @@ def hook_h_coefficient(n, k, l, d):
     """h-pairing against the hook (d+1, 1^(n-d-1)).
 
     Counts basis elements whose first d+1 positions are bare up-steps with
-    no x contribution; this matches h_mu_coefficient on the hook.
+    no x contribution; this matches h_mu_coefficient on the hook.  Their
+    paths reach height d+1 after d+1 steps with weight 1, so they are the
+    a12 path-height walk started there.
     """
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    return _hook_h_table(n).get((k, l, d), ZERO)
-
-
-@lru_cache(maxsize=None)
-def _hook_h_table(n):
-    """hook_h_coefficient for every (k, l, d) from one pass over the
-    streamed a12 basis, independent of basis.ascent_table.
-
-    An element whose first p positions are bare counts for d = 0..p-1;
-    the x-degrees are tallied as integers and each polynomial built once.
-    """
-    tallies = {}
-    for b in basis_mod.iter_basis(n, "a12"):
-        alpha, theta, xi = b.alpha, b.theta, b.xi
-        bare = 0
-        while bare < n and not (alpha[bare] or theta[bare] or xi[bare]):
-            bare += 1
-        k, l, x = sum(theta), sum(xi), sum(alpha)
-        for d in range(bare):
-            counts = tallies.setdefault((k, l, d), {})
-            counts[x] = counts.get(x, 0) + 1
-    return {key: QuvPolynomial({(x, 0, 0): c for x, c in counts.items()})
-            for key, counts in tallies.items()}
-
-
-@lru_cache(maxsize=None)
-def _hook_schur_table(n):
-    """Bucket q-polynomials by (k, l, d) over elements whose ascent set is
-    the full terminal interval {d+1,...,n-1}."""
-    table = {}
-    for mask, poly in basis_mod.ascent_table(n):
-        d = n - 1 - bin(mask).count("1")
-        if mask != (1 << (n - 1)) - (1 << d):
-            continue
-        for k, l in {key[1:] for key in poly.terms}:
-            table[(k, l, d)] = _q_slice([poly], k, l)
-    return table
+    return _q_slice([basis_mod._height_series(n, "a", d + 1)], k, l)
 
 
 def hook_schur_coefficient(n, k, l, d):
@@ -354,7 +274,9 @@ def hook_schur_coefficient(n, k, l, d):
     the elements with ascent set exactly {d+1,...,n-1}."""
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    return _hook_schur_table(n).get((k, l, d), ZERO)
+    interval = (1 << (n - 1)) - (1 << d)
+    exact = (poly for mask, poly in basis_mod.ascent_table(n) if mask == interval)
+    return _q_slice(exact, k, l)
 
 
 def choose2(a):

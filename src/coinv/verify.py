@@ -550,7 +550,7 @@ CHECKS = [
     ("symmetry-witness", check_symmetry_witness, 5),
     ("h-mu-dual", check_h_mu_dual, 5),
     ("hook-identities", check_hook_identities, 7),
-    ("hook-h-dual", check_hook_h_dual, 6),
+    ("hook-h-dual", check_hook_h_dual, 8),
     ("hook-characterization", check_hook_characterization, 7),
     ("frobenius-specializations", check_frobenius_specializations, 6),
     ("slinky", check_slinky, 8),

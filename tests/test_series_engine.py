@@ -107,18 +107,20 @@ def test_engine_never_enumerates(monkeypatch):
         raise AssertionError("the engine must not enumerate")
 
     monkeypatch.setattr(basis, "enumerate_basis", refuse)
+    monkeypatch.setattr(basis, "iter_basis", refuse)
     monkeypatch.setattr(motzkin, "enumerate_paths", refuse)
     basis.ascent_table.cache_clear()
-    symfun._hook_schur_table.cache_clear()
+    basis._height_series.cache_clear()
     try:
         for variant in basis.VARIANTS:
             hilbert_series(4, variant)
         symfun.frobenius_qsym(5, k=1)
         symfun.h_mu_coefficient(5, 1, 1, (3, 2))
         symfun.hook_schur_coefficient(5, 1, 1, 2)
+        symfun.hook_h_coefficient(5, 1, 1, 2)
     finally:
         basis.ascent_table.cache_clear()
-        symfun._hook_schur_table.cache_clear()
+        basis._height_series.cache_clear()
 
 
 def test_sizes_beyond_enumeration():
