@@ -6,7 +6,8 @@ invariants, span the ideal piece by invariant-times-monomial products, and
 read off the quotient dimension from an exact integer rank.  Everything is
 deterministic: fixed monomial order, fixed pivot rule (the largest column
 of each row, which in `monomial_basis` order is its x_1-heaviest
-monomial), no floats.
+monomial), no floats.  The elimination keeps its pivot rows fully
+reduced, so each row is cleared in one pass (see `_Echelon`).
 
 Every graded piece, alone or in a window, takes one path: its size comes
 from the closed form `ambient_size` and is checked against
@@ -22,8 +23,8 @@ the code of a product is the sum of its factors' codes and the fermionic
 sign is read from a memo (`_product_sign`).
 """
 
+from collections import defaultdict
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import permutations, product, repeat
 from math import comb, gcd
 
@@ -204,16 +205,30 @@ def _monomial_codes(n, degree, width):
 class _Echelon:
     """Incremental integer row reduction with a fixed pivot rule.
 
-    Rows are sparse dicts over column indices.  Each incoming row is
-    reduced fraction-free against stored pivot rows (pivot = largest
-    column index); surviving rows are gcd-normalized, with a positive
-    pivot entry, and kept.  The reduction works on one copy of the row, in
-    place, and a heap of its negated columns yields the next leading
-    column.
+    Rows are sparse dicts over column indices.  The stored rows are kept
+    fully reduced: each holds its lead (its largest column, with a positive
+    entry) and otherwise only non-pivot columns, and is gcd-normalized.
+    An incoming row, copied, is reduced fraction-free in one pass: the
+    stored row of each pivot column it holds is subtracted once, and since
+    that fills in only non-pivot columns, nothing cascades.  A surviving
+    row takes its largest column as lead and is gcd-normalized; that
+    column is then cleared from every stored row holding it, each of
+    which is gcd-normalized again.  `holders` lists, per non-pivot column,
+    the leads of the stored rows that held it when it was listed; entries
+    whose column has cancelled since are skipped.
+
+    The leads are those of any elimination that pivots on the largest
+    column: the columns that lead some vector of the row space.  So every
+    insert returns what a plain echelon returns, and only the stored rows
+    differ; they are the unique fully reduced basis of the row space.  The
+    price is memory: reduced rows are denser mid-elimination, and their
+    coefficients larger.  `pivots` is insertion-ordered, its newest value
+    the row stored last.
     """
 
     def __init__(self):
         self.pivots = {}  # leading column -> row dict
+        self.holders = defaultdict(list)  # non-pivot column -> leads of stored rows that held it
 
     @property
     def rank(self):
@@ -221,28 +236,19 @@ class _Echelon:
 
     def insert(self, row):
         """Reduce a row; store it if independent.  Returns True if rank grew."""
-        row = {c: v for c, v in row.items() if v}
+        row = dict(row)
+        if 0 in row.values():
+            row = {c: v for c, v in row.items() if v}
         get = row.get
         pivots = self.pivots
-        # Every column of the row has an entry in the heap; entries of
-        # columns that cancelled since they were pushed are skipped.
-        heap = [-c for c in row]
-        heapify(heap)
-        while heap:
-            lead = -heappop(heap)
-            b = get(lead)
-            if b is None:
+        # Stored rows hold no pivot column but their lead, so subtracting
+        # them fills in only non-pivot columns: one pass clears the row.
+        for lead in pivots.keys() & row.keys():
+            pivot = pivots[lead]
+            if len(pivot) == 1:  # {lead: 1}
+                del row[lead]
                 continue
-            pivot = pivots.get(lead)
-            if pivot is None:
-                g = gcd(*row.values())
-                if b < 0:
-                    g = -g
-                if g != 1:
-                    row = {c: v // g for c, v in row.items()}
-                pivots[lead] = row
-                return True
-            a = pivot[lead]
+            a, b = pivot[lead], row[lead]
             if a == 1:
                 mb = b
             else:
@@ -255,14 +261,54 @@ class _Echelon:
                 w = get(c)
                 if w is None:
                     row[c] = -v * mb
-                    heappush(heap, -c)
                 else:
                     w -= v * mb
                     if w:
                         row[c] = w
                     else:
                         del row[c]
-        return False
+        if not row:
+            return False
+        lead = max(row)
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        a = row[lead]
+        # Clear the new lead from every stored row that holds it; a holder
+        # whose entry cancelled since it was listed is skipped.
+        holders = self.holders
+        for h in holders.pop(lead, ()):
+            held = pivots[h]
+            b = held.get(lead)
+            if b is None:
+                continue
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            if ma != 1:
+                held = {c: v * ma for c, v in held.items()}
+            for c, v in row.items():
+                w = held.get(c)
+                if w is None:
+                    held[c] = -v * mb
+                    holders[c].append(h)
+                else:
+                    w -= v * mb
+                    if w:
+                        held[c] = w
+                    else:
+                        del held[c]
+            if held[h] != 1:
+                g = gcd(*held.values())
+                if g != 1:
+                    held = {c: v // g for c, v in held.items()}
+            pivots[h] = held
+        for c in row:
+            holders[c].append(lead)
+        del holders[lead]
+        pivots[lead] = row
+        return True
 
 
 # -- graded pieces of the quotient ----------------------------------------------
@@ -423,9 +469,12 @@ def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
         max_x_degree = default_max_x_degree(n, group_kind)
     if max_x_degree < 0:
         raise ValueError("max_x_degree must be at least 0, not %d" % max_x_degree)
-    degrees = list(product(range(max_x_degree + 1), range(n + 1), range(n + 1)))
-    for degree in degrees:
+    # checked as they are listed, so a large n is refused at its first
+    # over-cap piece, before the rest of the window is built
+    degrees = []
+    for degree in product(range(max_x_degree + 1), range(n + 1), range(n + 1)):
         _check_cap(n, degree)
+        degrees.append(degree)
     pieces = (repeat(n), repeat(group_kind), degrees)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

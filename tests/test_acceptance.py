@@ -87,7 +87,7 @@ def test_criterion_10_oracle():
 
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
-    reason="long n=4 oracle run; set COINV_LONG=1 (about 25 s)",
+    reason="long n=4 oracle run; set COINV_LONG=1 (about 15 s)",
 )
 def test_criterion_10_long_oracle_n4():
     poly, complete, _ = oracle.hilbert_via_oracle(4, "a")

@@ -156,18 +156,46 @@ def test_bijection_n7_csv_is_pinned(capsys):
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
 
 
+# Runs coinv as `python -m coinv.cli` does, and at exit writes the process's
+# own peak resident set (VmHWM, in kB) to the file named by its first
+# argument.  The child's ru_maxrss, as os.wait4 returns it, will not do: on
+# Linux it also counts the resident set of the process that spawned it.
+PEAK_PROBE = """\
+import atexit, runpy, sys
+
+def record(path=sys.argv.pop(1)):
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(path, "w") as out:
+        out.write(peak)
+
+atexit.register(record)
+runpy.run_module("coinv.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def run_measured(tmp_path, *argv):
     """Run `coinv argv` in a child process; return its exit code, stdout
-    bytes, stderr text and resource usage."""
+    bytes, stderr text and its own peak resident set in kB."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out_path, err_path = tmp_path / "out", tmp_path / "err"
+    out_path, err_path, peak_path = tmp_path / "out", tmp_path / "err", tmp_path / "peak"
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "coinv.cli", *argv], stdout=out, stderr=err, env=env)
-        # wait4 reaps the child and returns its resource usage; Popen is
-        # told the exit code so that it does not wait again
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out_path.read_bytes(), err_path.read_text(), usage
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, str(peak_path), *argv], stdout=out, stderr=err, env=env
+        )
+    return proc.returncode, out_path.read_bytes(), err_path.read_text(), int(peak_path.read_text())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_measured_peak_is_the_childs_own(tmp_path):
+    """A large buffer held by the test process does not reach the reading."""
+    code, out, _, plain = run_measured(tmp_path, "hilbert", "--n", "2")
+    assert code == 0 and out
+    ballast = b"\1" * (64 << 20)  # every page written, so all of it resident
+    code, _, _, held = run_measured(tmp_path, "hilbert", "--n", "2")
+    del ballast
+    assert code == 0
+    assert abs(held - plain) < 16 * 1024, (plain, held)
 
 
 @pytest.mark.skipif(
@@ -175,7 +203,7 @@ def run_measured(tmp_path, *argv):
     reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 25 s)",
 )
 def test_verify_n7_output_and_peak_memory(tmp_path):
-    returncode, out, err, usage = run_measured(tmp_path, "verify", "--n", "7")
+    returncode, out, err, peak = run_measured(tmp_path, "verify", "--n", "7")
     assert returncode == 0
     # the same 26 ok lines as verify --n 5
     digest = hashlib.sha256(out).hexdigest()
@@ -184,23 +212,24 @@ def test_verify_n7_output_and_peak_memory(tmp_path):
         "verify: %s ran at n=%d (asked 7)\n" % (name, limit) for name, _, limit in verify.CHECKS if limit < 7
     )
     assert "verify: specializations ran" not in err
-    # ru_maxrss is in kilobytes on Linux; the run took about 70 MB while
-    # specializations compared element lists
-    assert usage.ru_maxrss < 40 * 1024, usage.ru_maxrss
+    # the peak is in kB; the run took about 70 MB while specializations
+    # compared element lists
+    assert peak < 40 * 1024, peak
 
 
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
-    reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 20 s)",
+    reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 15 s)",
 )
 def test_oracle_n4_output_and_peak_memory(tmp_path):
-    returncode, out, err, usage = run_measured(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
+    returncode, out, err, peak = run_measured(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
     assert returncode == 0 and err == ""
     digest = hashlib.sha256(out).hexdigest()
     assert digest == "b9f60bdeb4add193a47f3c6b80176cab4f307a5f77465b67f1652deaedd4ec82"
-    # ru_maxrss is in kilobytes on Linux; the run took about 28 MB when the
-    # monomial codes went through SuperMonomial lists
-    assert usage.ru_maxrss < 40 * 1024, usage.ru_maxrss
+    # the peak is in kB; the run took about 28 MB when the monomial codes
+    # went through SuperMonomial lists, and takes about 36 MB with the
+    # echelon's fully reduced rows
+    assert peak < 40 * 1024, peak
 
 
 def first_difference(out, expected):
@@ -491,6 +520,32 @@ def test_oracle_over_the_cap_exits_2_before_any_piece(capsys, monkeypatch, jobs)
     assert code == 2
     assert out == ""
     assert err == "graded piece (9, 2, 2) has 71500 monomials, over the cap 50000\n"
+
+
+def limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n, degree, size", [
+    (5, (9, 2, 2), 71500),
+    (40, (0, 0, 4), 91390),
+    (60, (0, 0, 4), 487635),
+    (80, (0, 0, 3), 82160),
+    (200, (0, 0, 3), 1313400),
+])
+def test_oracle_refuses_a_large_n_within_1_gib(n, degree, size):
+    """The window is checked against the cap as it is listed, so a large n
+    exits 2 at its first over-cap piece, before the rest is built; listing
+    the whole window first ran out of memory at n = 80."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "oracle", "--n", str(n), "--long"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "graded piece %r has %d monomials, over the cap 50000\n" % (degree, size)
 
 
 def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 from itertools import islice, product
@@ -326,6 +327,24 @@ def test_type_a_n4_pieces_match_conjecture():
         assert quotient_dimension(4, "a", degree) == series.coefficient(*degree), degree
 
 
+def long_piece(degree, quotient, seconds):
+    return pytest.param(degree, quotient, id=str(degree), marks=pytest.mark.skipif(
+        not os.environ.get("COINV_LONG"), reason="set COINV_LONG=1 (about %d s)" % seconds))
+
+
+@pytest.mark.parametrize("degree, quotient", [
+    pytest.param((8, 1, 1), 117, id="(8, 1, 1)"),
+    pytest.param((10, 1, 1), 45, id="(10, 1, 1)"),
+    pytest.param((9, 2, 1), 11, id="(9, 2, 1)"),
+    long_piece((12, 1, 1), 11, 6),
+    long_piece((12, 2, 1), 0, 7),
+])
+def test_type_b_n4_pieces_match_conjecture(degree, quotient):
+    """Pieces of the type B n=4 quotient, four of them nonzero."""
+    assert quotient_dimension(4, "b", degree) == quotient
+    assert basis.hilbert_series(4, "b12").coefficient(*degree) == quotient
+
+
 def test_rank_of_rows_matches_fraction_elimination():
     rng = random.Random(2024)
     for _ in range(300):
@@ -353,16 +372,64 @@ def test_rank_of_rows_matches_fraction_elimination():
         assert len(smallest.pivots) == rank
 
 
+def fully_reduced(pivots):
+    """The fully reduced basis of the row space of echelon rows with
+    distinct largest columns: each row cleared of every other row's lead
+    over the rationals, then scaled to coprime integers with a positive
+    lead.  The row space determines it, so it pins the stored rows of any
+    elimination that keeps them fully reduced."""
+    reduced = {}
+    for lead in sorted(pivots):
+        row = {c: Fraction(v) for c, v in pivots[lead].items()}
+        # the rows already reduced hold no lead but their own
+        for c in [c for c in row if c in reduced]:
+            factor = row[c] / reduced[c][c]
+            for k, v in reduced[c].items():
+                w = row.get(k, 0) - factor * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+        for other in reduced.values():
+            if lead in other:
+                factor = other[lead] / row[lead]
+                for k, v in row.items():
+                    w = other.get(k, 0) - factor * v
+                    if w:
+                        other[k] = w
+                    else:
+                        other.pop(k, None)
+        reduced[lead] = row
+    out = {}
+    for lead, row in reduced.items():
+        scale = 1
+        for v in row.values():
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+        ints = {c: int(v * scale) for c, v in row.items()}
+        g = 0
+        for v in ints.values():
+            g = gcd(g, v)
+        if ints[lead] < 0:
+            g = -g
+        out[lead] = {c: v // g for c, v in ints.items()}
+    return out
+
+
 def test_echelon_stores_the_rebuilding_pivot_rows():
+    """Same insert results and the same leads, in the same order, as the
+    rebuilding elimination; the stored rows are the fully reduced basis of
+    its row space."""
     rng = random.Random(7)
     for _ in range(100):
         rows = [{c: rng.randint(-5, 5) for c in rng.sample(range(10), rng.randint(1, 6))}
                 for _ in range(rng.randint(1, 15))]
+        copies = [dict(row) for row in rows]
         fast, reference = oracle._Echelon(), RebuildingEchelon()
         for row in rows:
             assert fast.insert(row) == reference.insert(row)
-        assert fast.pivots == reference.pivots
+        assert fast.pivots == fully_reduced(reference.pivots)
         assert list(fast.pivots) == list(reference.pivots)
+        assert rows == copies  # the caller's rows are not modified
 
 
 def test_reynolds_and_invariants():
