@@ -195,17 +195,20 @@ def stair_q(path):
 # or multiplies the polynomials.
 
 
+def top_x_degree(n, kind):
+    """The largest x-degree of the a12 (kind "a") or b12 (kind "b") basis,
+    the staircase sum of the all-up path."""
+    return n * (n - 1) // 2 if kind == "a" else n * n
+
+
 class _Packing:
     """The bit layout of packed polynomials for the a12 (kind "a") or b12
     (kind "b") series of size n."""
 
     def __init__(self, n, kind):
-        if kind == "a":
-            size, top_q = (1 << (n - 1)) * factorial(n), n * (n - 1) // 2
-        else:
-            size, top_q = 4**n * factorial(n), n * n
+        size = (1 << (n - 1)) * factorial(n) if kind == "a" else 4**n * factorial(n)
         self.width = -(-size.bit_length() // 8) * 8  # bits per field, whole bytes
-        self.qs = top_q + 1  # slots per u^b v^c block
+        self.qs = top_x_degree(n, kind) + 1  # slots per u^b v^c block
         self.us = n + 1  # blocks per power of v
 
     def shift(self, a, b, c):
@@ -241,6 +244,16 @@ class _Packing:
         return QuvPolynomial(terms)
 
 
+# Largest working set of the path-height walk, per kind, in bytes, as the
+# walk estimates it: n whole packed values.  Set by runs under a 1 GiB
+# address space: a12 n=36 (an estimate of 684 MB, a peak RSS of 954-1020 MB
+# in two runs) and b12 n=30 (545 MB, 861-910 MB) finish, and a12 n=37
+# (820 MB) and b12 n=31 (672 MB) run out of memory.  The type B walk peaks
+# higher per estimated byte (1.55-1.64 times against 1.37-1.47 at those n),
+# so its cap is lower.
+WALK_BYTES_CAP = {"a": 750 * 10**6, "b": 600 * 10**6}
+
+
 @lru_cache(maxsize=8)
 def _height_series(n, kind, start=None):
     """The a12 (kind "a") or b12 (kind "b") Hilbert series by recursion
@@ -253,8 +266,17 @@ def _height_series(n, kind, start=None):
     starts at height `start` after `start` steps, with weight 1.  The
     default start is the floor, which every element passes: 1 in type A,
     whose forced first up-step has the factor [1]_q = 1, and 0 in type B.
+    A walk whose estimated working set is over its `WALK_BYTES_CAP` is
+    refused before it starts.
     """
     pack = _Packing(n, kind)
+    # a whole packed value spans us powers of v; a layer holds up to n of them
+    need = pack.width * pack.qs * pack.us**2 // 8 * n
+    if need > WALK_BYTES_CAP[kind]:
+        raise ValueError(
+            "the type %s series at n=%d would hold about %d MB of packed values, over the cap of %d MB"
+            % (kind.upper(), n, round(need / 10**6), WALK_BYTES_CAP[kind] // 10**6)
+        )
     q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
     moves = [(dh, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
     floor = 1 if kind == "a" else 0

@@ -269,20 +269,13 @@ def cmd_oracle(args):
             if row["quotient"]:
                 print("degree %r: ambient %d, ideal rank %d, quotient %d"
                       % (tuple(row["degree"]), row["ambient"], row["ideal_rank"], row["quotient"]))
-    expected = basis.hilbert_series(args.n, "a12" if kind == "a" else "b12")
-    if complete:
-        mismatch = poly != expected
-    else:
-        # the window stops short of the quotient's top, so only the
-        # x-degrees it covers can be compared
-        top = report[-1]["degree"][0]
-        band = [tuple(row["degree"]) for row in report if row["quotient"] and row["degree"][0] >= top - 1]
+    top, band, expected, agrees = oracle.compare_with_conjecture(args.n, kind, poly, report)
+    if band:
         print("truncation band is nonzero: x-degrees %d..%d hold %s; raise --max-x-degree"
               % (max(top - 1, 0), top, ", ".join(map(str, band))), file=sys.stderr)
-        mismatch = poly.terms != {key: c for key, c in expected.terms.items() if key[0] <= top}
-    if mismatch:
+    if not agrees:
         print("MISMATCH against the conjectural series: %s" % expected, file=sys.stderr)
-    return 1 if mismatch or not complete else 0
+    return 0 if agrees and complete else 1
 
 
 def build_parser():

@@ -182,10 +182,11 @@ def enumerate_partitions(n):
     return out
 
 
+def elements_of_mask(mask, n):
+    """The elements of {1,...,n-1} that mask marks, bit i-1 marking i, ascending."""
+    return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+
+
 def enumerate_subsets(n):
     """All subsets of {1,...,n-1} ordered by bitmask value."""
-    out = []
-    for mask in range(1 << max(n - 1, 0)):
-        elems = tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
-        out.append(IndexSubset(elems, n))
-    return out
+    return [IndexSubset(elements_of_mask(mask, n), n) for mask in range(1 << max(n - 1, 0))]

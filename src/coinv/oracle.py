@@ -5,17 +5,19 @@ variables: symmetrize every monomial of a multidegree to span the
 invariants, span the ideal piece by invariant-times-monomial products, and
 read off the quotient dimension from an exact integer rank.  Everything is
 deterministic: fixed monomial order, fixed pivot rule (the largest column
-of each row, which in `monomial_basis` order is its x_1-heaviest
-monomial), no floats.  The elimination keeps its pivot rows fully
-reduced, so each row is cleared in one pass (see `_Echelon`).
+of each row, which in the canonical order of `_monomials` is its
+x_1-heaviest monomial), no floats.  The elimination keeps its pivot rows
+fully reduced, so each row is cleared in one pass (see `_Echelon`).
 
 Every graded piece, alone or in a window, takes one path: its size comes
 from the closed form `ambient_size` and is checked against
 `DEFAULT_MONOMIAL_CAP` before anything is eliminated (for a window, before
-its first piece), and its rank from `_ideal_rank`.
+its first piece), and its rank from `_ideal_rank`.  `coinv oracle` and
+verify's oracle checks judge a window by `compare_with_conjecture`.
 
 The hot paths are exact shortcuts of the plain definitions, which the
-tests keep as references (tests/oracle_reference.py): invariants symmetrize
+tests keep as references (tests/oracle_reference.py, which also holds the
+monomial type and the monomial lists they read): invariants symmetrize
 one monomial per orbit through a precomputed S_n action table, type B ones
 too (the sign flips only scale or cancel an S_n orbit sum), and ideal rows
 are built from packed integer monomial codes, made once per degree, where
@@ -28,43 +30,8 @@ from functools import lru_cache
 from itertools import permutations, product, repeat
 from math import comb, gcd
 
+from . import basis
 from .qpoly import QuvPolynomial
-
-
-class SuperMonomial(tuple):
-    """A monomial x^a theta_M xi_N: (xexp tuple, theta mask, xi mask).
-
-    Masks are bitmasks over variable indices 0..n-1; the fermionic factors
-    are implicitly ordered ascending, thetas before xis.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, xexp, tmask, xmask):
-        return tuple.__new__(cls, (tuple(xexp), tmask, xmask))
-
-    @property
-    def xexp(self):
-        return self[0]
-
-    @property
-    def tmask(self):
-        return self[1]
-
-    @property
-    def xmask(self):
-        return self[2]
-
-
-def _mask_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -92,18 +59,12 @@ def _monomials(n, degree):
     return [(xexp, tm, xm) for xexp in _compositions_of(r, n) for tm in masks_s for xm in masks_t]
 
 
-@lru_cache(maxsize=None)
-def monomial_basis(n, degree):
-    """All monomials of the multidegree (r, s, t) in canonical order."""
-    return tuple(tuple.__new__(SuperMonomial, mono) for mono in _monomials(n, degree))
-
-
 # -- group actions ------------------------------------------------------------
 
 
 def _permute_mask(mask, perm):
     """Move mask bits through the permutation, with the reordering sign."""
-    images = [perm[i] for i in _mask_bits(mask)]
+    images = [perm[i] for i in range(mask.bit_length()) if mask >> i & 1]
     sign = 1
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
@@ -138,8 +99,8 @@ def _table_images(mono, table):
 
     The permutation sends x_i, theta_i and xi_i to the variables of slot
     perm[i]; the sign is the reordering parity of the fermionic factors.
-    Images are plain (xexp, tmask, xmask) tuples, equal to the
-    SuperMonomials they stand for.
+    Images are plain (xexp, tmask, xmask) tuples, in the form of the
+    monomials of `_monomials`.
     """
     xexp, tmask, xmask = mono
     for inverse, mask_images in table:
@@ -175,7 +136,7 @@ def _product_sign(t1, f1, t2, f2):
 
 @lru_cache(maxsize=None)
 def _monomial_codes(n, degree, width):
-    """The monomials of `monomial_basis(n, degree)` as packed integers.
+    """The monomials of `_monomials(n, degree)` as packed integers.
 
     A code is (x exponents in base 2**width, x_1 lowest) << 2n | tmask << n
     | xmask.  For two monomials with disjoint masks whose exponents add up
@@ -378,7 +339,7 @@ DEFAULT_MONOMIAL_CAP = 50000
 
 
 def ambient_size(n, degree):
-    """len(monomial_basis(n, degree)), from the closed form without building it."""
+    """len(_monomials(n, degree)), from the closed form without building it."""
     r, s, t = degree
     return comb(r + n - 1, n - 1) * comb(n, s) * comb(n, t)
 
@@ -452,8 +413,13 @@ def _ideal_rank(n, group_kind, degree):
 
 def default_max_x_degree(n, group_kind):
     """Conjectured top x-degree plus a safety margin of two."""
-    top = n * (n - 1) // 2 if group_kind == "a" else n * n
-    return top + 2
+    return basis.top_x_degree(n, group_kind) + 2
+
+
+# Most graded pieces a window lists.  The largest window that a test or the
+# README runs, b12 n=4 with --long, has 475; at n = 1 every piece has one
+# monomial, so the monomial cap alone would let a window grow without end.
+WINDOW_PIECE_CAP = 100_000
 
 
 def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
@@ -463,18 +429,25 @@ def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
     and all fermionic degrees up to n.  Returns (polynomial, complete,
     report) where complete is True iff every piece in the top two x-degrees
     vanished, and report lists one dict per multidegree.  Every piece is
-    checked against the monomial cap before the first is eliminated.
+    checked against the monomial cap, and the window against the piece
+    cap, before the first piece is eliminated.
     """
     if max_x_degree is None:
         max_x_degree = default_max_x_degree(n, group_kind)
     if max_x_degree < 0:
         raise ValueError("max_x_degree must be at least 0, not %d" % max_x_degree)
     # checked as they are listed, so a large n is refused at its first
-    # over-cap piece, before the rest of the window is built
+    # over-cap piece, before the rest of the window is built (and not
+    # through `product`, which would hold every x-degree at once)
     degrees = []
-    for degree in product(range(max_x_degree + 1), range(n + 1), range(n + 1)):
+    for degree in ((r, s, t) for r in range(max_x_degree + 1) for s in range(n + 1) for t in range(n + 1)):
         _check_cap(n, degree)
         degrees.append(degree)
+        if len(degrees) > WINDOW_PIECE_CAP:
+            raise RuntimeError(
+                "the window of x-degrees 0..%d has %d graded pieces, over the cap %d"
+                % (max_x_degree, (max_x_degree + 1) * (n + 1) ** 2, WINDOW_PIECE_CAP)
+            )
     pieces = (repeat(n), repeat(group_kind), degrees)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -484,8 +457,7 @@ def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
     else:
         report = list(map(_quotient_entry, *pieces))
     terms = {tuple(row["degree"]): row["quotient"] for row in report if row["quotient"]}
-    complete = all(r < max_x_degree - 1 for r, _, _ in terms)
-    return QuvPolynomial(terms), complete, report
+    return QuvPolynomial(terms), not _top_band(report)[1], report
 
 
 def _quotient_entry(n, group_kind, degree):
@@ -493,3 +465,22 @@ def _quotient_entry(n, group_kind, degree):
     ambient = ambient_size(n, degree)
     rank = _ideal_rank(n, group_kind, degree)
     return {"degree": list(degree), "ambient": ambient, "ideal_rank": rank, "quotient": ambient - rank}
+
+
+def _top_band(report):
+    """A window's top x-degree, and its nonzero pieces in its top two
+    x-degrees: the pieces that make the window incomplete."""
+    top = report[-1]["degree"][0]
+    return top, [tuple(row["degree"]) for row in report if row["quotient"] and row["degree"][0] >= top - 1]
+
+
+def compare_with_conjecture(n, group_kind, poly, report):
+    """(top, band, expected, agrees) for a window of `hilbert_via_oracle`:
+    its top x-degree and `_top_band`, the series of the conjectured basis
+    (a12 for kind "a", b12 for "b"), and whether the window's series
+    matches it: whole when the band is empty, else up to the window's top.
+    """
+    expected = basis.hilbert_series(n, group_kind + "12")
+    top, band = _top_band(report)
+    covered = {key: c for key, c in expected.terms.items() if not band or key[0] <= top}
+    return top, band, expected, poly.terms == covered

@@ -11,6 +11,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .basis import BasisElement
+from .combinat import elements_of_mask
 from .qpoly import ZERO, q_integer
 
 
@@ -228,7 +229,7 @@ def iter_segmented_words(content):
     if n < 1 or min(content) < 0:
         raise ValueError("needs a nonempty content of nonnegative multiplicities")
     # every split set, indexed by its bitmask: bit i-1 marks a bar after i
-    splits_of = [tuple(i + 1 for i in range(n - 1) if mask >> i & 1) for mask in range(1 << (n - 1))]
+    splits_of = [elements_of_mask(mask, n) for mask in range(1 << (n - 1))]
     new = tuple.__new__  # skips SegmentedWord's Python-level __new__, as iter_basis does
     for letters in _arrangements(list(content), ()):
         forced = sum(1 << i for i in range(n - 1) if letters[i] == letters[i + 1])

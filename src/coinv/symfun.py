@@ -12,7 +12,7 @@ table or the path-height walk; none builds a basis element.
 from typing import NamedTuple
 
 from . import basis as basis_mod
-from .combinat import Composition, IndexSubset, Partition, comp_of_set, set_of_comp
+from .combinat import Composition, IndexSubset, Partition, comp_of_set, elements_of_mask, set_of_comp
 from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
 
@@ -108,7 +108,7 @@ def frobenius_qsym(n, k=None, l=None):
     for mask, poly in basis_mod.ascent_table(n):
         poly = _restrict(poly, k, l)
         if poly:
-            out.add(_subset_of_mask(mask, n), poly)
+            out.add(IndexSubset(elements_of_mask(mask, n), n), poly)
     return out
 
 
@@ -120,18 +120,9 @@ def _restrict(poly, k, l):
     })
 
 
-def _subset_of_mask(mask, n):
-    return IndexSubset(tuple(i + 1 for i in range(n - 1) if mask >> i & 1), n)
-
-
 def _q_slice(polys, k, l):
     """The sum of the u^k v^l coefficients of polys, a polynomial in q."""
-    terms = {}
-    for poly in polys:
-        for (a, b, c), coeff in poly.terms.items():
-            if (b, c) == (k, l):
-                terms[(a, 0, 0)] = terms.get((a, 0, 0), 0) + coeff
-    return QuvPolynomial(terms)
+    return sum((_restrict(poly, k, l) for poly in polys), ZERO).substitute(u=1, v=1)
 
 
 # -- slinky straightening ------------------------------------------------------

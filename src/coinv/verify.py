@@ -492,24 +492,25 @@ def check_slinky(n):
 # -- oracle --------------------------------------------------------------------
 
 
-def check_oracle_type_a(n):
+def _check_oracle(n, group_kind, name, series):
+    """The oracle's verdict at each m <= n, its witness worded with `name`
+    and `series`."""
     for m in range(1, n + 1):
-        poly, complete, _ = oracle.hilbert_via_oracle(m, "a")
+        poly, complete, report = oracle.hilbert_via_oracle(m, group_kind)
+        _, _, _, agrees = oracle.compare_with_conjecture(m, group_kind, poly, report)
         if not complete:
-            return "oracle truncation band is nonzero at n=%d" % m
-        if poly != basis.hilbert_series(m, "a12"):
-            return "oracle differs from the conjectural Hilbert series at n=%d" % m
+            return "%s truncation band is nonzero at n=%d" % (name, m)
+        if not agrees:
+            return "%s differs from the conjectural %s at n=%d" % (name, series, m)
     return None
+
+
+def check_oracle_type_a(n):
+    return _check_oracle(n, "a", "oracle", "Hilbert series")
 
 
 def check_oracle_type_b(n):
-    for m in range(1, n + 1):
-        poly, complete, _ = oracle.hilbert_via_oracle(m, "b")
-        if not complete:
-            return "type B oracle truncation band is nonzero at n=%d" % m
-        if poly != basis.hilbert_series(m, "b12"):
-            return "type B oracle differs from the conjectural series at n=%d" % m
-    return None
+    return _check_oracle(n, "b", "type B oracle", "series")
 
 
 def check_oracle_exactness(n):

@@ -3,16 +3,54 @@
 `invariant_subspace` symmetrizes through the S_n table `oracle._action_table`,
 type B included, and `oracle._ideal_rank` builds its rows from packed
 monomial codes; the tests compare both against these definitions: the
-signed group acting on one monomial at a time, the Reynolds sum over the
-group, the signed action table over the whole hyperoctahedral group, the
-superalgebra product of two monomials, and the exact rank of a list of rows.
+monomial type and the monomials of a multidegree, the signed group acting
+on one monomial at a time, the Reynolds sum over the group, the signed
+action table over the whole hyperoctahedral group, the superalgebra product
+of two monomials, and the exact rank of a list of rows.
 """
 
 from functools import lru_cache
 from itertools import permutations
 from operator import add
 
-from coinv.oracle import SuperMonomial, _Echelon, _mask_bits, _permute_mask, _product_sign
+from coinv.oracle import _Echelon, _monomials, _permute_mask, _product_sign
+
+
+class SuperMonomial(tuple):
+    """A monomial x^a theta_M xi_N: (xexp tuple, theta mask, xi mask).
+
+    Masks are bitmasks over variable indices 0..n-1; the fermionic factors
+    are implicitly ordered ascending, thetas before xis.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xexp, tmask, xmask):
+        return tuple.__new__(cls, (tuple(xexp), tmask, xmask))
+
+    @property
+    def xexp(self):
+        return self[0]
+
+    @property
+    def tmask(self):
+        return self[1]
+
+    @property
+    def xmask(self):
+        return self[2]
+
+
+def _mask_bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@lru_cache(maxsize=None)
+def monomial_basis(n, degree):
+    """All monomials of the multidegree (r, s, t) in canonical order, the
+    order of the oracle's columns."""
+    return tuple(tuple.__new__(SuperMonomial, mono) for mono in _monomials(n, degree))
 
 
 @lru_cache(maxsize=None)

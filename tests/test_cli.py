@@ -473,6 +473,33 @@ def test_oracle_truncated_window_names_the_band(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("truncation band is nonzero: x-degrees 1..2 hold (1, 0, 0), ")
     assert "MISMATCH" not in err
+    # json names the same band on stderr, and its pieces are the text's
+    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--max-x-degree", "2", "--format", "json")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26f5067944346133efbd439911acfcd25c737f0e3c5e2e7afa0eaf0dde2c7ea5"
+    )
+    data = json.loads(out)
+    assert data["complete"] is False
+    assert [tuple(row["degree"]) for row in data["pieces"] if row["quotient"]] == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)
+    ]
+    assert err == "truncation band is nonzero: x-degrees 1..2 hold (1, 0, 0); raise --max-x-degree\n"
+    # type B: the conjecture reaches x-degree 9 at n=3, the window stops at
+    # 5 with both top x-degrees nonzero, and below them it agrees
+    band = ", ".join("(%d, %d, %d)" % degree for degree in [
+        (4, 0, 0), (4, 0, 1), (4, 0, 2), (4, 1, 0), (4, 1, 1), (4, 1, 2), (4, 2, 0), (4, 2, 1),
+        (5, 0, 0), (5, 0, 1), (5, 0, 2), (5, 1, 0), (5, 1, 1), (5, 2, 0),
+    ])
+    for fmt, digest in [
+        ("text", "7524d782f2a05ce0839f3fc0e7f01fbde67aad0600df4d2d0eb9546b0c3c0793"),
+        ("json", "9ef673cce33ebb54f647b2d220bef3c3b918b6d42ae036aa7be710e3a4b16ca1"),
+    ]:
+        code, out, err = run_cli(capsys, "oracle", "--n", "3", "--variant", "b12", "--max-x-degree", "5",
+                                 "--format", fmt)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        assert err == "truncation band is nonzero: x-degrees 4..5 hold %s; raise --max-x-degree\n" % band
     # a disagreement inside the window is still a mismatch
     monkeypatch.setattr(basis, "hilbert_series", lambda n, variant: QuvPolynomial({(0, 0, 0): 2}))
     code, _, err = run_cli(capsys, "oracle", "--n", "2", "--max-x-degree", "2")
@@ -546,6 +573,62 @@ def test_oracle_refuses_a_large_n_within_1_gib(n, degree, size):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "graded piece %r has %d monomials, over the cap 50000\n" % (degree, size)
+
+
+def test_oracle_refuses_a_window_of_too_many_pieces_within_1_gib():
+    """At n = 1 every piece has one monomial, so the monomial cap never
+    refuses; the window's piece count does, as it is listed.  Listing all
+    4 * 10^8 pieces ran out of memory."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "oracle", "--n", "1", "--max-x-degree", "100000000"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "the window of x-degrees 0..100000000 has 400000004 graded pieces, over the cap 100000\n"
+    )
+
+
+@pytest.mark.parametrize("argv, kind, n, need, cap", [
+    (("--n", "38"), "A", 38, 977, 750),
+    (("--n", "40"), "A", 40, 1313, 750),
+    (("--n", "37", "--variant", "a02"), "A", 37, 820, 750),
+    (("--n", "32", "--variant", "b12"), "B", 32, 822, 600),
+    (("--n", "31", "--variant", "b11"), "B", 31, 672, 600),
+])
+def test_hilbert_refuses_a_large_n_within_1_gib(argv, kind, n, need, cap):
+    """The walk's working set is estimated from its packing before it
+    starts; a12 n=37 and 38 and b12 n=31 and 32 ran out of memory under
+    1 GiB after 45-105 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "hilbert", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "the type %s series at n=%d would hold about %d MB of packed values, over the cap of %d MB\n"
+        % (kind, n, need, cap)
+    )
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="the largest walks under the memory cap, in subprocesses; set COINV_LONG=1 (about 2 minutes)",
+)
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "36"), "6832af5788c3eee7a0afaaea47db54ecbb7b57d1f0994e94c15c1a7b8a49e214"),
+    (("--n", "30", "--variant", "b12"), "0be951f0d25ccb28259d3a313d2df094514269a22d90c2f8eadb0f9c13724f6e"),
+])
+def test_hilbert_below_the_walk_cap_runs_within_1_gib(argv, digest):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "hilbert", *argv],
+        capture_output=True, env=env, timeout=600, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypatch):

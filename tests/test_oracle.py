@@ -10,17 +10,17 @@ import pytest
 
 from coinv import basis, oracle
 from coinv.oracle import (
-    SuperMonomial,
     ambient_size,
     default_max_x_degree,
     hilbert_via_oracle,
     invariant_subspace,
-    monomial_basis,
     quotient_dimension,
 )
 from coinv.qpoly import QuvPolynomial
 from oracle_reference import (
+    SuperMonomial,
     group_action,
+    monomial_basis,
     multiply_monomials,
     rank_of_rows,
     reynolds,
@@ -476,10 +476,99 @@ def test_monomial_cap(monkeypatch):
     def no_work(*args):
         raise AssertionError("the over-cap piece was built")
 
-    monkeypatch.setattr(oracle, "monomial_basis", no_work)
+    monkeypatch.setattr(oracle, "_monomials", no_work)
+    monkeypatch.setattr(oracle, "_monomial_codes", no_work)
     monkeypatch.setattr(oracle, "_ideal_rank", no_work)
     with pytest.raises(RuntimeError, match=r"\(9, 2, 2\) has 71500 monomials, over the cap 50000"):
         quotient_dimension(5, "a", (9, 2, 2))
+
+
+def test_default_windows_up_to_n4_are_under_the_piece_cap(monkeypatch):
+    def empty_piece(n, kind, degree):
+        return {"degree": list(degree), "ambient": 0, "ideal_rank": 0, "quotient": 0}
+
+    monkeypatch.setattr(oracle, "_quotient_entry", empty_piece)
+    for n in range(1, 5):
+        for kind in ("a", "b"):
+            report = hilbert_via_oracle(n, kind)[2]
+            assert len(report) == len(all_degrees(n, kind)) <= oracle.WINDOW_PIECE_CAP
+
+
+def test_piece_cap_refuses_the_first_piece_past_it(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a piece was eliminated")
+
+    monkeypatch.setattr(oracle, "WINDOW_PIECE_CAP", 8)
+    # n = 1 has 4 pieces per x-degree: x-degrees 0..1 fill the cap exactly
+    monkeypatch.setattr(oracle, "_quotient_entry", lambda n, kind, degree: {
+        "degree": list(degree), "ambient": 1, "ideal_rank": 1, "quotient": 0})
+    assert len(hilbert_via_oracle(1, "a", max_x_degree=1)[2]) == 8
+    monkeypatch.setattr(oracle, "_quotient_entry", no_work)
+    with pytest.raises(RuntimeError, match=r"^the window of x-degrees 0..2 has 12 graded pieces, over the cap 8$"):
+        hilbert_via_oracle(1, "a", max_x_degree=2)
+
+
+def window(top, quotients):
+    """A report of `hilbert_via_oracle` at n = 1 over x-degrees 0..top,
+    with the given nonzero quotients, and its series."""
+    report = [
+        {"degree": [r, s, t], "ambient": 1, "ideal_rank": 1 - quotients.get((r, s, t), 0),
+         "quotient": quotients.get((r, s, t), 0)}
+        for r in range(top + 1) for s in range(2) for t in range(2)
+    ]
+    return QuvPolynomial(quotients), report
+
+
+def verdict_against(monkeypatch, expected, top, quotients, kind="a"):
+    asked = []
+
+    def conjecture(n, variant):
+        asked.append((n, variant))
+        return QuvPolynomial(expected)
+
+    monkeypatch.setattr(basis, "hilbert_series", conjecture)
+    got_top, band, got_expected, agrees = oracle.compare_with_conjecture(1, kind, *window(top, quotients))
+    assert asked == [(1, kind + "12")]
+    assert got_top == top and got_expected == QuvPolynomial(expected)
+    return band, agrees
+
+
+def test_verdict_on_a_complete_window_that_agrees(monkeypatch):
+    series = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 1): 2}
+    assert verdict_against(monkeypatch, series, 3, series) == ([], True)
+    assert verdict_against(monkeypatch, series, 3, series, kind="b") == ([], True)
+
+
+def test_verdict_on_a_complete_window_compares_past_its_top(monkeypatch):
+    series = {(0, 0, 0): 1, (1, 0, 0): 1}
+    # the ring vanishes from x-degree 2 on, the conjecture does not
+    assert verdict_against(monkeypatch, {**series, (5, 0, 0): 1}, 3, series) == ([], False)
+    assert verdict_against(monkeypatch, {(0, 0, 0): 1, (1, 0, 0): 2}, 3, series) == ([], False)
+
+
+def test_verdict_on_a_truncated_window_compares_up_to_its_top(monkeypatch):
+    ring = {(0, 0, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1}
+    # the conjecture goes on past the window's top x-degree 2
+    band = [(1, 0, 1), (2, 0, 0)]
+    assert verdict_against(monkeypatch, {**ring, (3, 0, 0): 1, (4, 1, 1): 1}, 2, ring) == (band, True)
+
+
+def test_verdict_on_a_truncated_window_that_differs_below_its_top(monkeypatch):
+    ring = {(0, 0, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1}
+    band = [(1, 0, 1), (2, 0, 0)]
+    assert verdict_against(monkeypatch, {**ring, (0, 0, 0): 2, (3, 0, 0): 1}, 2, ring) == (band, False)
+    assert verdict_against(monkeypatch, {(0, 0, 0): 1, (2, 0, 0): 1, (3, 0, 0): 1}, 2, ring) == (band, False)
+
+
+def test_verdict_at_the_default_windows_agrees_with_hilbert_via_oracle():
+    for n, kind in ((1, "a"), (2, "a"), (3, "a"), (1, "b"), (2, "b")):
+        poly, complete, report = hilbert_via_oracle(n, kind)
+        top, band, _, agrees = oracle.compare_with_conjecture(n, kind, poly, report)
+        assert complete and band == [] and agrees, (n, kind)
+        assert top == default_max_x_degree(n, kind)
+    poly, complete, report = hilbert_via_oracle(2, "a", max_x_degree=0)
+    top, band, _, agrees = oracle.compare_with_conjecture(2, "a", poly, report)
+    assert not complete and (top, band, agrees) == (0, [(0, 0, 0), (0, 0, 1), (0, 1, 0)], True)
 
 
 def test_oracle_matches_conjecture_small():

@@ -134,3 +134,41 @@ def test_sizes_beyond_enumeration():
 def test_ascent_table_rejects_n_below_one():
     with pytest.raises(ValueError):
         basis.ascent_table(0)
+
+
+def test_top_x_degree_is_the_largest_x_degree_of_the_series():
+    for n in range(1, 9):
+        for kind in ("a", "b"):
+            series = hilbert_series(n, kind + "12")
+            assert max(a for a, _, _ in series.terms) == basis.top_x_degree(n, kind), (n, kind)
+
+
+class WalkStarted(Exception):
+    pass
+
+
+def test_walk_cap_sits_between_the_largest_walks_that_fit_in_1_gib_and_the_next(monkeypatch):
+    """a12 n=36 and b12 n=30 finish under a 1 GiB address space, and a12
+    n=37 and b12 n=31 do not (measured; see basis.WALK_BYTES_CAP).  The
+    walk is stopped where it would start working, so nothing runs."""
+
+    def started(self, k):
+        raise WalkStarted
+
+    monkeypatch.setattr(basis._Packing, "q_integer", started)
+    for n, kind in ((36, "a"), (30, "b")):
+        with pytest.raises(WalkStarted):
+            basis._height_series.__wrapped__(n, kind)
+    for n, kind in ((37, "a"), (31, "b")):
+        with pytest.raises(ValueError, match=r"^the type %s series at n=%d would hold about \d+ MB of packed "
+                           r"values, over the cap of \d+ MB$" % (kind.upper(), n)):
+            basis._height_series.__wrapped__(n, kind)
+
+
+@pytest.mark.parametrize("variant", basis.VARIANTS)
+def test_every_variant_and_count_basis_are_refused_past_the_walk_cap(variant):
+    n = 37 if variant[0] == "a" else 31
+    with pytest.raises(ValueError, match="over the cap"):
+        hilbert_series(n, variant)
+    with pytest.raises(ValueError, match="over the cap"):
+        basis.count_basis(n, variant)

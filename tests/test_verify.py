@@ -72,6 +72,19 @@ def test_hilbert_dimension_runs_b12_at_the_requested_n(monkeypatch):
 # -- mutation guards: break one side, and the check must name a witness ---------
 
 
+def test_oracle_checks_name_their_witnesses(monkeypatch):
+    from coinv import oracle
+
+    assert verify.check_oracle_type_a(2) is None
+    assert verify.check_oracle_type_b(2) is None
+    monkeypatch.setattr(basis, "hilbert_series", lambda n, variant: q_power(0) + q_power(0))
+    assert verify.check_oracle_type_a(2) == "oracle differs from the conjectural Hilbert series at n=1"
+    assert verify.check_oracle_type_b(2) == "type B oracle differs from the conjectural series at n=1"
+    monkeypatch.setattr(oracle, "default_max_x_degree", lambda n, kind: 0)
+    assert verify.check_oracle_type_a(2) == "oracle truncation band is nonzero at n=1"
+    assert verify.check_oracle_type_b(2) == "type B oracle truncation band is nonzero at n=1"
+
+
 def off_by_q(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) * q_power(1)
 
