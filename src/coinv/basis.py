@@ -85,14 +85,10 @@ class BasisElement(NamedTuple):
 
     def path(self):
         """The decorated path carrying this element (a12/a02/b12 variants)."""
-        if self.variant in ("a12", "a02"):
-            kind = "a"
-        elif self.variant == "b12":
-            kind = "b"
-        else:
+        if self.variant not in ("a12", "a02", "b12"):
             raise ValueError("variant %s has no path model" % self.variant)
         steps = tuple(_STEP_OF_BITS[t, x] for t, x in zip(self.theta, self.xi))
-        return motzkin.MotzkinPath(steps, kind)
+        return motzkin.MotzkinPath(steps, self.variant[0])
 
 
 _STEP_OF_BITS = {(t, x): s for s, (_, t, x) in enumerate(motzkin.STEPS)}
@@ -101,15 +97,16 @@ _STEP_OF_BITS = {(t, x): s for s, (_, t, x) in enumerate(motzkin.STEPS)}
 # -- staircase bounds --------------------------------------------------------
 
 
-def _heights(T, S, n, floor):
-    """The heights h_0 = 0, h_1, ..., h_n of the path with decoration sets
-    T and S, whose step i moves by 1 - [i in T] - [i in S].
+def _heights(T, S, n, kind):
+    """The heights h_0 = 0, h_1, ..., h_n of the path of kind "a" or "b"
+    with decoration sets T and S, whose step i moves by 1 - [i in T] - [i in S].
 
-    Raises ValueError for a decoration outside {floor+1,...,n}, and at the
-    first step where the path dips below its floor: 1 in type A, where the
-    first step is the forced up-step, and 0 in type B.  Heights move by at
-    most 1 a step, so that is also where the staircase first goes negative.
+    Raises ValueError for a decoration outside {floor+1,...,n}, since the
+    forced up-steps carry none, and at the first step where the path dips
+    below its floor (motzkin.FLOOR).  Heights move by at most 1 a step, so
+    that is also where the staircase first goes negative.
     """
+    floor = motzkin.FLOOR[kind]
     T = frozenset(T)
     S = frozenset(S)
     if any(not floor < i <= n for i in T | S):
@@ -137,7 +134,7 @@ def alpha_sequence(T, S, n):
     steps by -1 + [i not in T] + [i not in S].  Raises ValueError when
     (T, S) does not come from a valid type A path.
     """
-    return _bound_of_heights(_heights(T, S, n, 1), "a")
+    return _bound_of_heights(_heights(T, S, n, "a"), "a")
 
 
 def beta_sequence(T, S, n):
@@ -148,22 +145,15 @@ def beta_sequence(T, S, n):
     -2 + [i not in T] + [i-1 not in T] + [i not in S] + [i-1 not in S].
     Raises ValueError when (T, S) does not come from a valid type B path.
     """
-    return _bound_of_heights(_heights(T, S, n, 0), "b")
-
-
-def _staircase(T, S, n, kind):
-    """alpha(T, S) for kind "a", beta(T, S) for kind "b"."""
-    if kind == "a":
-        return alpha_sequence(T, S, n)
-    if kind == "b":
-        return beta_sequence(T, S, n)
-    raise ValueError("kind must be 'a' or 'b'")
+    return _bound_of_heights(_heights(T, S, n, "b"), "b")
 
 
 def super_artin_bound(T, n, kind):
     """The (1,1) staircase: alpha(T) for kind "a", beta(T) for kind "b",
     the xi-free case S = {} of the generalized staircase."""
-    return _staircase(T, (), n, kind)
+    if kind not in motzkin.FLOOR:
+        raise ValueError("kind must be 'a' or 'b'")
+    return _bound_of_heights(_heights(T, (), n, kind), kind)
 
 
 def path_bound(path):
@@ -264,8 +254,8 @@ def _height_series(n, kind, start=None):
     weight 1, u, v or uv and by the q-integer of the staircase entry it
     fixes: [h_i]_q in type A, [h_{i-1} + h_i + 1]_q in type B.  The walk
     starts at height `start` after `start` steps, with weight 1.  The
-    default start is the floor, which every element passes: 1 in type A,
-    whose forced first up-step has the factor [1]_q = 1, and 0 in type B.
+    default start is the floor (motzkin.FLOOR), which every element passes:
+    in type A its forced first up-step has the factor [1]_q = 1.
     A walk whose estimated working set is over its `WALK_BYTES_CAP` is
     refused before it starts.
     """
@@ -279,7 +269,7 @@ def _height_series(n, kind, start=None):
         )
     q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
     moves = [(dh, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
-    floor = 1 if kind == "a" else 0
+    floor = motzkin.FLOOR[kind]
     start = floor if start is None else start
     layer = {start: 1}
     for _ in range(n - start):
@@ -300,6 +290,14 @@ def _height_series(n, kind, start=None):
     return pack.unpack(sum(layer.values()))
 
 
+# Largest ascent table, in term slots: 2^(n-1) ascent sets, each a
+# polynomial with at most (top x-degree + 1) q-degrees times n(n+1)/2
+# (u, v)-degrees.  Runs of frobenius, hmu and hook under a 1 GiB address
+# space peak at about 57 bytes a slot: 76 MB at n=10, 217 MB at n=11 and
+# 581-588 MB at n=12 (10.7 million slots).  n=13 has 29.4 million.
+TABLE_SLOTS_CAP = 15 * 10**6
+
+
 @lru_cache(maxsize=8)
 def ascent_table(n):
     """The a12 Hilbert series split by ascent set, without enumeration.
@@ -313,12 +311,20 @@ def ascent_table(n):
     position i is (h_i, theta_i, alpha_i) plus the ascents fixed so far.  A
     depth-first walk over the ascent bits keeps one ascent prefix in memory
     at a time; the work grows with the 2^(n-1) ascent sets, not with the
-    2^(n-1) n! elements.
+    2^(n-1) n! elements.  A table of more term slots than
+    `TABLE_SLOTS_CAP` is refused before the walk starts.
     """
     if n < 1:
         raise ValueError("ascent_table needs n >= 1")
+    slots = (1 << (n - 1)) * (top_x_degree(n, "a") + 1) * (n * (n + 1) // 2)
+    if slots > TABLE_SLOTS_CAP:
+        raise ValueError(
+            "the ascent table at n=%d would have up to %d terms, over the cap of %d"
+            % (n, slots, TABLE_SLOTS_CAP)
+        )
     pack = _Packing(n, "a")
     moves = [(dh, t, x, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
+    floor = motzkin.FLOOR["a"]
     out = []
 
     def walk(i, mask, states):
@@ -331,7 +337,7 @@ def ascent_table(n):
         for (h, t0, a0), value in states.items():
             for dh, t1, x1, shift in moves:
                 h1 = h + dh
-                if h1 < 1:
+                if h1 < floor:
                     continue
                 value_1 = value << shift
                 for a1 in range(h1):
@@ -348,8 +354,8 @@ def ascent_table(n):
             if branch:
                 walk(i + 1, mask | rise << (i - 1), branch)
 
-    # position 1 is the forced up-step: h_1 = 1, no decoration, alpha_1 = 0
-    walk(1, 0, {(1, 0, 0): 1})
+    # the forced up-steps end at the floor, with no decoration and alpha = 0
+    walk(floor, 0, {(floor, 0, 0): 1})
     return tuple(sorted(out))
 
 
@@ -403,7 +409,7 @@ def iter_rows(n, variant):
             yield theta, xi, zero
     else:
         zero_xi = (0,) * n
-        for theta in _subset_bits(n, 2 if variant == "a11" else 1):
+        for theta in _subset_bits(n, motzkin.FLOOR[variant[0]] + 1):
             T = frozenset(i + 1 for i, b in enumerate(theta) if b)
             yield theta, zero_xi, super_artin_bound(T, n, variant[0])
 

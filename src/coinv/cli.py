@@ -226,8 +226,7 @@ def cmd_hmu(args):
     from . import symfun
 
     try:
-        parts = tuple(int(p) for p in args.mu.split(",") if p)
-        mu = Partition(parts)
+        mu = Partition(tuple(int(p) for p in args.mu.split(",")))
     except ValueError as exc:
         return _fail("invalid --mu: %s" % exc)
     if mu.n != args.n:

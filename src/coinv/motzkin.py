@@ -14,6 +14,11 @@ STEP_CHARS = "UTXD"
 # (height change, theta bit, xi bit) of each step kind, indexed by UP,
 # HTHETA, HXI and DOWN: the one place the step encoding is written down.
 STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
+# The floor of each path type: the height that a path may not dip below,
+# which is also the number of forced up-steps it starts with.  A type A
+# path starts with the up-step to height 1 and stays at height >= 1; a
+# type B path stays at height >= 0.  The one place the floors are written.
+FLOOR = {"a": 1, "b": 0}
 
 
 class MotzkinPath(Record):
@@ -24,7 +29,7 @@ class MotzkinPath(Record):
     def __post_init__(self):
         steps = tuple(self.steps)
         object.__setattr__(self, "steps", steps)
-        if self.variant not in ("a", "b"):
+        if self.variant not in FLOOR:
             raise ValueError("variant must be 'a' or 'b'")
         if any(s not in (UP, HTHETA, HXI, DOWN) for s in steps):
             raise ValueError("unknown step kind in %r" % (steps,))
@@ -33,7 +38,7 @@ class MotzkinPath(Record):
                 raise ValueError("type A paths need length >= 1")
             if steps[0] != UP:
                 raise ValueError("type A paths must start with an up-step")
-        floor = 1 if self.variant == "a" else 0
+        floor = FLOOR[self.variant]
         h = 0
         for i, s in enumerate(steps):
             h += STEPS[s][0]
@@ -82,14 +87,14 @@ def parse_path(text, variant):
 
 def enumerate_paths(n, variant):
     """All valid paths of length n in lexicographic step order U < T < X < D."""
-    if variant not in ("a", "b"):
+    if variant not in FLOOR:
         raise ValueError("variant must be 'a' or 'b'")
     if variant == "a" and n < 1:
         raise ValueError("type A enumeration needs n >= 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
 
-    floor = 1 if variant == "a" else 0
+    floor = FLOOR[variant]
     out = []
     steps = []
 
@@ -97,7 +102,7 @@ def enumerate_paths(n, variant):
         if pos == n:
             out.append(MotzkinPath(tuple(steps), variant))
             return
-        kinds = (UP,) if (variant == "a" and pos == 0) else (UP, HTHETA, HXI, DOWN)
+        kinds = (UP,) if pos < floor else (UP, HTHETA, HXI, DOWN)
         for s in kinds:
             h = height + STEPS[s][0]
             if h < floor:

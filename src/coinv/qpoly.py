@@ -95,9 +95,9 @@ class QuvPolynomial:
         """Return the integer coefficient of q^a u^b v^c."""
         return self.terms.get((a, b, c), 0)
 
-    def evaluate(self, q=1, u=1, v=1):
-        """Evaluate at integer values of q, u, v."""
-        return sum(c * q**a * u**b * v**c2 for (a, b, c2), c in self.terms.items())
+    def evaluate(self):
+        """The value at q = u = v = 1: the sum of the coefficients."""
+        return sum(self.terms.values())
 
     def substitute(self, q=None, u=None, v=None):
         """Substitute integer values for any subset of the variables.
@@ -179,7 +179,7 @@ def _trusted(terms):
     return poly
 
 
-def _monomial_str(key, latex=False):
+def _monomial_str(key, latex):
     a, b, c = key
     out = ""
     for var, exp in (("q", a), ("u", b), ("v", c)):
@@ -256,7 +256,7 @@ def q_binomial(m, r):
 
 
 @lru_cache(maxsize=None)
-def q_stirling(n, k, kind="a"):
+def q_stirling(n, k, kind):
     """q-Stirling number by recursion, kind "a" or "b".
 
     Type a: Stir(n,k) = [k]_q Stir(n-1,k) + Stir(n-1,k-1).

@@ -371,8 +371,15 @@ def psi_inverse(word):
     return BasisElement(tuple(alpha), tuple(theta), tuple(xi), "a12")
 
 
-def psi_walk(n):
-    """Every a12 element of size n with its image under psi, from one walk.
+def psi_table(n):
+    """The bijection table of size n, one entry per a12 element, unsorted,
+    from one walk.
+
+    Each entry is (bar mask, letters, sigma, monomial, k, l, sminv, split)
+    for sigma = psi(element): the mask has bit s-1 set for a bar after
+    position s, sigma is the word as format_word writes it, monomial is the
+    element's monomial_str(), and k, l, sminv and split are the word's
+    statistics.
 
     A depth-first walk over psi's insertion tree: a node holds the blocks
     after letters 1..i-1, and its children insert i once for each step and
@@ -380,20 +387,28 @@ def psi_walk(n):
     that a blocks lie right of i's block.  An up step opens a new block, a
     theta step appends i to a block, a xi step prepends it, and a down step
     merges two neighbouring blocks around it (so needs at least two).  Each
-    node carries the element's monomial factors and each block's formatted
-    string, so a leaf costs one join instead of n insertions and a
-    reformat.
+    node carries the element's monomial factors, each block's formatted
+    string and the columns, so a leaf only joins them and packs its letters
+    and mask from its blocks.  Inserting i, the new largest letter, with a
+    blocks right of its block:
 
-    Yields one (monomial, blocks, labels, k, l, sminv, split) tuple per
-    element, in no particular order: monomial is the element's
-    monomial_str(), blocks are those of psi(element) as tuples of letters,
-    labels are the blocks as format_word writes them, and k, l, sminv and
-    split are the word's statistics.  They are carried down the tree by
-    three update rules per insertion: k and l by the step, sminv by a, and
-    the split set by i-1 or nothing (psi_table states them in full).
+    * k grows by 1 after theta and down steps (i follows a smaller letter
+      in its block), l by 1 after xi and down steps (i precedes one).
+    * sminv grows by a.  A pair (i, w_j) counts by rule 1 exactly when w_j
+      starts one of the a blocks to the right; rule 2 would need a letter
+      above i.  After a xi or down step the letter now after i used to
+      start its block: the earlier letters it counted against by rule 1
+      it now counts against by rule 2, since i exceeds them all.
+    * The split set gains i-1 or nothing.  No old letter's thick flag
+      changes (a letter that stops starting its block becomes the low end
+      of the fall from i), and i is thick after up and xi steps, thin
+      after theta and down steps.  So split_positions' rule for the pair
+      (i-1, i) needs only i-1's thick flag, the number r of blocks right
+      of i-1's block, and whether i lands left of i-1: a > r after up and
+      theta steps, a >= r after xi and down steps.
     """
     if n < 1:
-        raise ValueError("psi_walk needs n >= 1")
+        raise ValueError("psi_table needs n >= 1")
     # A node is (size, blocks, labels, x factors, fermion factors, k, l,
     # sminv, split, r, thick) with r and thick those of its largest letter.
     # Factors are kept with a leading "*" so that joining is concatenation.
@@ -401,7 +416,12 @@ def psi_walk(n):
     while stack:
         size, blocks, labels, xs, fs, k, l, inv, split, r, thick = stack.pop()
         if size == n:
-            yield (xs + fs)[1:] or "1", blocks, labels, k, l, inv, split
+            letters = blocks[0]
+            mask = 0
+            for blk in blocks[1:]:
+                mask |= 1 << (len(letters) - 1)
+                letters += blk
+            yield mask, letters, "|".join(labels), (xs + fs)[1:] or "1", k, l, inv, split
             continue
         i = size + 1
         s = str(i)
@@ -433,36 +453,3 @@ def psi_walk(n):
                           labels[:at] + (labels[at] + " " + s + " " + labels[at + 1],) + labels[at + 2:],
                           xs + x_factor[a], down_fs, k + 1, l + 1, inv + a,
                           grown if thick or a < r else split, a, False))
-
-
-def psi_table(n):
-    """The bijection table of size n, one entry per a12 element, unsorted.
-
-    Each entry is (bar mask, letters, sigma, monomial, k, l, sminv, split)
-    for sigma = psi(element): the mask has bit s-1 set for a bar after
-    position s.  The columns are carried down psi_walk's insertion tree,
-    so a leaf only packs its letters and mask from its blocks.  Inserting
-    i, the new largest letter, with a blocks right of its block:
-
-    * k grows by 1 after theta and down steps (i follows a smaller letter
-      in its block), l by 1 after xi and down steps (i precedes one).
-    * sminv grows by a.  A pair (i, w_j) counts by rule 1 exactly when w_j
-      starts one of the a blocks to the right; rule 2 would need a letter
-      above i.  After a xi or down step the letter now after i used to
-      start its block: the earlier letters it counted against by rule 1
-      it now counts against by rule 2, since i exceeds them all.
-    * The split set gains i-1 or nothing.  No old letter's thick flag
-      changes (a letter that stops starting its block becomes the low end
-      of the fall from i), and i is thick after up and xi steps, thin
-      after theta and down steps.  So split_positions' rule for the pair
-      (i-1, i) needs only i-1's thick flag, the number r of blocks right
-      of i-1's block, and whether i lands left of i-1: a > r after up and
-      theta steps, a >= r after xi and down steps.
-    """
-    for monomial, blocks, labels, k, l, inv, split in psi_walk(n):
-        letters = blocks[0]
-        mask = 0
-        for blk in blocks[1:]:
-            mask |= 1 << (len(letters) - 1)
-            letters += blk
-        yield mask, letters, "|".join(labels), monomial, k, l, inv, split

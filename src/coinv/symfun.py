@@ -100,16 +100,17 @@ class SchurExpansion(_Expansion):
 def frobenius_qsym(n, k=None, l=None):
     """The conjectural Frobenius series in the fundamental basis.
 
-    Sums u^deg_theta v^deg_xi q^deg_x Q_{Asc(b),n} over basis elements,
-    read off basis.ascent_table.
-    Passing k and/or l restricts to fixed theta/xi degrees.
+    Sums u^deg_theta v^deg_xi q^deg_x Q_{Asc(b),n} over basis elements.
+    basis.ascent_table holds that sum once per n, split by ascent set, so
+    the expansion keys the table's own immutable polynomials by their
+    subsets and copies none of them.  Passing k and/or l restricts to fixed
+    theta/xi degrees, and only then are the polynomials rebuilt.
     """
-    out = QSymExpansion(n)
-    for mask, poly in basis_mod.ascent_table(n):
-        poly = _restrict(poly, k, l)
-        if poly:
-            out.add(IndexSubset(elements_of_mask(mask, n), n), poly)
-    return out
+    table = basis_mod.ascent_table(n)
+    if k is not None or l is not None:
+        table = [(mask, _restrict(poly, k, l)) for mask, poly in table]
+    coeffs = {IndexSubset(elements_of_mask(mask, n), n): poly for mask, poly in table if poly}
+    return QSymExpansion(n, coeffs)
 
 
 def _restrict(poly, k, l):

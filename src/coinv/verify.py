@@ -104,7 +104,7 @@ def check_path_counts(n):
             height = 0
             for s in p.steps:
                 height += motzkin.STEPS[s][0]
-                if height < 1:
+                if height < motzkin.FLOOR["a"]:
                     return "type A floor violated by %s" % p
     return None
 

@@ -269,6 +269,24 @@ def test_verify_names_lowered_checks_on_stderr(capsys):
     )
 
 
+def test_verify_stops_at_the_first_failure(capsys, monkeypatch):
+    names = [name for name, _ in verify.ALL_CHECKS]
+    failing = names.index("cardinality-a")
+
+    def later(n):
+        raise AssertionError("a check after the failure ran")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [
+        (name, check if at <= failing else later) for at, (name, check) in enumerate(verify.ALL_CHECKS)
+    ])
+    monkeypatch.setattr(basis, "count_basis", lambda n, variant: 0)
+    code, out, err = run_cli(capsys, "verify", "--n", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["ok   %s" % name for name in names[:failing]] + [
+        "FAIL cardinality-a: a12 cardinality wrong at n=1"
+    ]
+
+
 def test_bijection_byte_stable(capsys):
     code, first, _ = run_cli(capsys, "bijection", "--n", "4", "--format", "csv")
     assert code == 0
@@ -409,6 +427,19 @@ def test_hmu_rejects_bad_mu(capsys):
     code, _, err = run_cli(capsys, "hmu", "--n", "3", "--mu", "2,2")
     assert code == 2
     assert "partition of n" in err
+
+
+@pytest.mark.parametrize("mu, reason", [
+    (",3", "invalid literal for int() with base 10: ''"),
+    ("3,", "invalid literal for int() with base 10: ''"),
+    ("2,,1", "invalid literal for int() with base 10: ''"),
+    ("1,2", "partition parts must be weakly decreasing: (1, 2)"),
+    ("3,0", "partition parts must be positive: (3, 0)"),
+])
+def test_hmu_refuses_an_empty_or_unordered_part(capsys, mu, reason):
+    # an empty field is a missing part: ",3" is not the partition (3)
+    code, out, err = run_cli(capsys, "hmu", "--n", "3", "--mu", mu)
+    assert (code, out, err) == (2, "", "invalid --mu: %s\n" % reason)
 
 
 def test_invalid_n(capsys):
@@ -629,6 +660,65 @@ def test_hilbert_below_the_walk_cap_runs_within_1_gib(argv, digest):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobenius", "--n", "13"),
+    ("frobenius", "--n", "13", "--form", "qsym", "--k", "1"),
+    ("hmu", "--n", "13", "--mu", "13"),
+    ("hook", "--n", "13"),
+])
+def test_ascent_table_commands_refuse_n13_within_1_gib(argv):
+    """The table's size is known before its walk, so n = 13 exits 2 at
+    once; hmu --n 13 ran out of memory under 1 GiB after 83 s."""
+    import resource
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000\n"
+    # the child's own CPU time, so a busy machine does not stretch it
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="the largest ascent tables under the cap, in subprocesses; set COINV_LONG=1 (about 3 minutes)",
+)
+@pytest.mark.parametrize("argv, digest", [
+    (("frobenius", "--n", "12"), "1e8a8f6bb087e8ef016c5855dc4e098c89964cf7eb63ed68ca4ec3cf200b8733"),
+    (("frobenius", "--n", "12", "--form", "qsym"), "f5299c8297616f08c047a66c4a84505052994268f9dbd57383300ddd5dff851a"),
+    (("hmu", "--n", "12", "--mu", "12"), "54a98a597614db701bbaa06ae13cc4554394d03c4fb5d77d7590b850348606e8"),
+    (("hook", "--n", "12"), "b6977ee16e43cd5760943b5176149a869614b98ab6bca2f76324ff9208957a04"),
+])
+def test_ascent_table_below_the_cap_runs_within_1_gib(argv, digest):
+    # frobenius --n 12 ran out of memory under 1 GiB while the series held
+    # a second copy of the table
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", *argv],
+        capture_output=True, env=env, timeout=600, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="frobenius --n 11 in a subprocess; set COINV_LONG=1 (about 10 s)",
+)
+def test_frobenius_n11_output_and_peak_memory(tmp_path):
+    returncode, out, err, peak = run_measured(tmp_path, "frobenius", "--n", "11", "--form", "schur")
+    assert (returncode, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == "ea33020765674ef4c73777bece0232bd2acc9d87e6cefb9690ae4b9fbbd7f171"
+    # the peak is in kB; the run took about 410 MB while the series copied
+    # the ascent table, and takes about 220 MB
+    assert peak < 300 * 1024, peak
 
 
 def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypatch):

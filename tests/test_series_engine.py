@@ -12,7 +12,7 @@ import pytest
 
 from coinv import basis, motzkin, symfun
 from coinv.basis import ascent_positions, enumerate_basis, hilbert_series
-from coinv.combinat import Composition, IndexSubset, enumerate_partitions, set_of_comp
+from coinv.combinat import Composition, IndexSubset, elements_of_mask, enumerate_partitions, set_of_comp
 from coinv.qpoly import QuvPolynomial
 
 
@@ -80,6 +80,16 @@ def test_frobenius_matches_enumeration_for_every_filter():
             assert symfun.frobenius_qsym(n, l=k) == reference_qsym(n, l=k), (n, k)
             for l in range(n - k):
                 assert symfun.frobenius_qsym(n, k=k, l=l) == reference_qsym(n, k=k, l=l), (n, k, l)
+
+
+def test_unfiltered_frobenius_holds_the_ascent_tables_own_polynomials():
+    # the series is the table keyed by subsets, not a second copy of it
+    for n in range(1, 8):
+        table = basis.ascent_table(n)
+        coeffs = symfun.frobenius_qsym(n).coeffs
+        assert len(coeffs) == len(table), n
+        for mask, poly in table:
+            assert coeffs[IndexSubset(elements_of_mask(mask, n), n)] is poly, (n, mask)
 
 
 def test_h_mu_matches_enumeration():
@@ -163,6 +173,22 @@ def test_walk_cap_sits_between_the_largest_walks_that_fit_in_1_gib_and_the_next(
         with pytest.raises(ValueError, match=r"^the type %s series at n=%d would hold about \d+ MB of packed "
                            r"values, over the cap of \d+ MB$" % (kind.upper(), n)):
             basis._height_series.__wrapped__(n, kind)
+
+
+def test_table_cap_sits_between_n12_and_n13(monkeypatch):
+    """frobenius, hmu and hook at n=12 finish under a 1 GiB address space
+    (measured; see basis.TABLE_SLOTS_CAP), and n=13 would need about three
+    times as much.  The walk is stopped where it would start working."""
+
+    def started(n, kind):
+        raise WalkStarted
+
+    monkeypatch.setattr(basis, "_Packing", started)
+    with pytest.raises(WalkStarted):
+        basis.ascent_table.__wrapped__(12)
+    with pytest.raises(ValueError) as exc:
+        basis.ascent_table.__wrapped__(13)
+    assert str(exc.value) == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000"
 
 
 @pytest.mark.parametrize("variant", basis.VARIANTS)

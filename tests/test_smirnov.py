@@ -1,10 +1,11 @@
-from itertools import accumulate, permutations, product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
 from coinv import verify
 from coinv.basis import BasisElement, ascent_positions, enumerate_basis, hilbert_series
+from coinv.combinat import elements_of_mask
 from coinv.qpoly import ONE, ZERO, QuvPolynomial, q_power
 from coinv.smirnov import (
     SegmentedWord,
@@ -17,7 +18,6 @@ from coinv.smirnov import (
     psi,
     psi_inverse,
     psi_table,
-    psi_walk,
     sminv,
     split_positions,
     sw_q,
@@ -414,30 +414,25 @@ def test_thick_thin_still_returns_strings():
     assert thick_thin(parse_word("1 3|2 1")) == ("thick", "thin", "thick", "thick")
 
 
-def word_of_blocks(blocks):
-    letters = tuple(x for blk in blocks for x in blk)
-    return SegmentedWord(letters, tuple(accumulate(len(blk) for blk in blocks[:-1])))
-
-
-def test_psi_walk_is_psi_on_every_element():
+def test_psi_table_is_psi_on_every_element():
     # monomial_str() is injective on the a12 basis of one size, so equal
     # (monomial, word) sets mean the walk pairs each element with psi of it
     for n in range(1, 7):
-        leaves = list(psi_walk(n))
-        assert len(leaves) == (1 << (n - 1)) * factorial(n)
+        entries = list(psi_table(n))
+        assert len(entries) == (1 << (n - 1)) * factorial(n)
         walked = set()
-        for monomial, blocks, labels, *_ in leaves:
-            word = word_of_blocks(blocks)
-            assert "|".join(labels) == format_word(word)
+        for mask, letters, sigma, monomial, *_ in entries:
+            word = SegmentedWord(letters, elements_of_mask(mask, n))
+            assert sigma == format_word(word)
             walked.add((monomial, word))
         expected = {(b.monomial_str(), psi(b)) for b in enumerate_basis(n, "a12")}
-        assert len(expected) == len(leaves)
+        assert len(expected) == len(entries)
         assert walked == expected
 
 
-def test_psi_walk_rejects_n_below_one():
+def test_psi_table_rejects_n_below_one():
     with pytest.raises(ValueError):
-        list(psi_walk(0))
+        list(psi_table(0))
 
 
 def test_psi_table_carries_the_statistics_of_every_leaf():

@@ -4,8 +4,8 @@ replaced, and each check against a broken engine, which it must catch."""
 import pytest
 
 from coinv import basis, motzkin, smirnov, symfun, verify
-from coinv.combinat import IndexSubset
-from coinv.qpoly import ZERO, q_power
+from coinv.combinat import Composition, IndexSubset
+from coinv.qpoly import ZERO, QuvPolynomial, q_power
 from coinv.smirnov import SegmentedWord
 
 
@@ -314,3 +314,139 @@ def test_frobenius_routes_catch_a_wrong_words_route(monkeypatch):
 
     monkeypatch.setattr(verify, "frobenius_qsym_via_words", broken)
     assert verify.check_frobenius_routes(3) is not None
+
+
+def add_at(fn, point, extra):
+    """fn, with `extra` added to its value at the arguments `point`."""
+    return lambda *args: fn(*args) + (extra if args == point else 0)
+
+
+def test_q_pascal_catches_a_wrong_q_binomial(monkeypatch):
+    monkeypatch.setattr(verify, "q_binomial", add_at(verify.q_binomial, (3, 1), q_power(5)))
+    assert verify.check_q_pascal(4) == "q-Pascal fails at (3, 1)"
+
+
+def test_q_chu_vandermonde_catches_a_wrong_q_binomial(monkeypatch):
+    monkeypatch.setattr(verify, "q_binomial", add_at(verify.q_binomial, (2, 1), q_power(5)))
+    assert verify.check_q_chu_vandermonde(4) == "q-Chu-Vandermonde fails at n=3 d=0 k=1 l=1"
+
+
+def test_eval_at_one_catches_an_evaluation_that_is_not_the_coefficient_sum(monkeypatch):
+    monkeypatch.setattr(QuvPolynomial, "evaluate", lambda self: sum(self.terms.values()) + 1)
+    assert verify.check_eval_at_one(3) == "evaluation at 1 is not multiplicative at n=1"
+
+
+def test_set_comp_inverse_catches_a_reversed_composition(monkeypatch):
+    set_of_comp = verify.set_of_comp
+    monkeypatch.setattr(verify, "set_of_comp", lambda comp: set_of_comp(Composition(comp.parts[::-1])))
+    assert verify.check_set_comp_inverse(4) == "Set(Comp(S)) != S at {1}/n=3"
+
+
+def test_cardinality_a_catches_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(basis, "count_basis", add_at(basis.count_basis, (3, "a12"), 1))
+    assert verify.check_cardinality_a(4) == "a12 cardinality wrong at n=3"
+
+
+def test_cardinality_b_catches_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(basis, "count_basis", add_at(basis.count_basis, (2, "b12"), 1))
+    assert verify.check_cardinality_b(3) == "b12 cardinality wrong at n=2"
+
+
+def test_cardinality_b_catches_a_wrong_counting_recursion(monkeypatch):
+    monkeypatch.setattr(basis, "count_type_b", add_at(basis.count_type_b, (2,), 1))
+    assert verify.check_cardinality_b(3) == "type B counting recursion wrong at n=2"
+
+
+@pytest.mark.parametrize("name, kind", [("hilbert-stirling-a", "a"), ("hilbert-stirling-b", "b")])
+def test_hilbert_stirling_catches_a_wrong_closed_form(monkeypatch, name, kind):
+    monkeypatch.setattr(basis, "hilbert_11_formula", add_at(basis.hilbert_11_formula, (2, kind), q_power(1)))
+    check = dict(verify.ALL_CHECKS)[name]
+    assert check(3) == "%s12 Hilbert at v=0 differs from the q-Stirling form at n=2" % kind
+
+
+def test_count_by_height_catches_a_wrong_recursion(monkeypatch):
+    recursion = basis.count_by_height_recursion
+    monkeypatch.setattr(basis, "count_by_height_recursion", add_at(recursion, (3, 1), 1))
+    try:
+        assert verify.check_count_by_height(4) == "count_by_height recursion differs at (3, 1)"
+    finally:
+        # the cached recursion called the broken one
+        recursion.cache_clear()
+
+
+def test_count_by_height_catches_a_dropped_path(monkeypatch):
+    enumerate_paths = motzkin.enumerate_paths
+    monkeypatch.setattr(motzkin, "enumerate_paths", lambda n, kind: enumerate_paths(n, kind)[:-1])
+    assert verify.check_count_by_height(3) == "count_by_height enumeration differs at (1, 0)"
+
+
+def test_count_type_b_refined_catches_a_wrong_recursion(monkeypatch):
+    refined = basis.count_type_b_refined
+    monkeypatch.setattr(basis, "count_type_b_refined", add_at(refined, (2, 1, "E"), 1))
+    try:
+        assert verify.check_count_type_b_refined(3) == "type B refined count differs at n=2 r=1 class=E"
+    finally:
+        # the cached recursion called the broken one
+        refined.cache_clear()
+
+
+def test_symmetry_witness_catches_a_term_that_is_not_symmetric(monkeypatch):
+    frobenius_qsym = symfun.frobenius_qsym
+
+    def with_q_1_3(n, k=None, l=None):
+        out = frobenius_qsym(n, k=k, l=l)
+        if n == 3:
+            out.add(IndexSubset((1,), 3), q_power(0))  # Q_{{1},3} alone is not symmetric
+        return out
+
+    monkeypatch.setattr(symfun, "frobenius_qsym", with_q_1_3)
+    verify._piece_expansion.cache_clear()
+    try:
+        assert verify.check_symmetry_witness(3) == "monomial expansion not symmetric at n=3 (k=0,l=0)"
+    finally:
+        # the pieces were expanded from the broken series
+        verify._piece_expansion.cache_clear()
+
+
+def test_hook_identities_catch_a_wrong_closed_form(monkeypatch):
+    broken = add_at(symfun.hook_qbinomial_formula, (2, 0, 1, 0), q_power(1))
+    monkeypatch.setattr(symfun, "hook_qbinomial_formula", broken)
+    assert verify.check_hook_identities(3) == "hook identity fails at n=2 d=0 k=0 l=1"
+
+
+def test_hook_identities_catch_a_wrong_sign_character(monkeypatch):
+    broken = add_at(symfun.sign_character_formula, (3, 1, 1), q_power(1))
+    monkeypatch.setattr(symfun, "sign_character_formula", broken)
+    assert verify.check_hook_identities(3) == "sign character form fails at n=3 k=1 l=1"
+
+
+def test_hook_characterization_catches_a_wrong_test(monkeypatch):
+    monkeypatch.setattr(symfun, "hook_asc_characterization", lambda element, d: False)
+    element = basis.BasisElement((0,), (0,), (0,), "a12")
+    assert verify.check_hook_characterization(3) == "hook ascent characterization differs at %s d=0" % (element,)
+
+
+def test_slinky_catches_a_wrong_sign(monkeypatch):
+    slinky = symfun.slinky
+
+    def flipped(comp):
+        sign, shape = slinky(comp)
+        return symfun.SlinkyResult(-sign, shape) if len(comp.parts) == 2 else symfun.SlinkyResult(sign, shape)
+
+    monkeypatch.setattr(symfun, "slinky", flipped)
+    assert verify.check_slinky(3) == "slinky and straightening disagree at %s" % (Composition((1, 1)),)
+
+
+def test_oracle_exactness_catches_ranks_that_move_with_the_window(monkeypatch):
+    from coinv import oracle
+
+    hilbert_via_oracle = oracle.hilbert_via_oracle
+
+    def widened_differs(n, kind, max_x_degree=None, jobs=1):
+        poly, complete, report = hilbert_via_oracle(n, kind, max_x_degree=max_x_degree, jobs=jobs)
+        if max_x_degree is not None:
+            report[0] = dict(report[0], ideal_rank=report[0]["ideal_rank"] + 1)
+        return poly, complete, report
+
+    monkeypatch.setattr(oracle, "hilbert_via_oracle", widened_differs)
+    assert verify.check_oracle_exactness(2) == "per-degree ranks changed with a larger window at [0, 0, 0]"
