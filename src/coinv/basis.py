@@ -9,6 +9,8 @@ Five families are supported, named by variant strings:
   b12 : type B analogue with the generalized beta(T, S) staircase;
   b11 : x^beta theta_T over T subset of {1,...,n}, bound beta(T).
 
+a11, a02 and b11 are a12 or b12 with one grading set to zero (`_ZEROED`):
+the rows and the series of every variant come from the a12 or b12 paths.
 Elements are stored as exponent data only; the sign that reordering the
 fermionic factors would introduce is normalized away.
 """
@@ -22,7 +24,10 @@ from . import motzkin
 from .combinat import IndexSubset
 from .qpoly import ONE, ZERO, QuvPolynomial, q_double_factorial_even, q_factorial, q_integer, q_stirling
 
-VARIANTS = ("a12", "a11", "a02", "b12", "b11")
+# The grading each variant sets to zero in the a12 or b12 basis of its kind:
+# none, v (no xi: the super-Artin (1,1) bases) or q (no x: the (0,2) basis).
+_ZEROED = {"a12": None, "a11": "v", "a02": "q", "b12": None, "b11": "v"}
+VARIANTS = tuple(_ZEROED)
 
 
 class BasisElement(NamedTuple):
@@ -362,13 +367,6 @@ def ascent_table(n):
 # -- enumeration --------------------------------------------------------------
 
 
-def _subset_bits(n, lowest):
-    """All 0/1 vectors of length n that vanish below position `lowest`, by bitmask."""
-    width = n - lowest + 1
-    for mask in range(1 << width):
-        yield tuple([0] * (lowest - 1) + [mask >> i & 1 for i in range(width)])
-
-
 @lru_cache(maxsize=None)
 def _path_rows(n, kind):
     """(theta, xi, bound) of every path of size n and kind, in the order of
@@ -392,26 +390,30 @@ def iter_rows(n, variant):
     """Yield the rows (theta, xi, bound) of the basis, in canonical order.
 
     The basis is the union of the row boxes: a row stands for the elements
-    x^alpha theta xi with 0 <= alpha <= bound entrywise.  Path-borne
-    variants have one row per path, in lexicographic step order, with the
-    staircase bound of the path, all zero for a02; the (1,1) variants have
-    one row per theta, ordered by its bitmask, with the super-Artin bound.
+    x^alpha theta xi with 0 <= alpha <= bound entrywise.  Every variant
+    reads the path rows of a12 or b12 (`_path_rows`), one per path in
+    lexicographic step order, through the grading `_ZEROED` sets to zero.
+    a12 and b12 keep them all.  a02 (q = 0) keeps each row with an all-zero
+    bound.  a11 and b11 (v = 0) keep the xi-free rows, ordered by theta
+    bitmask: every theta over {floor+1,...,n} stays at or above the floor,
+    so these are the super-Artin rows, one per theta, with bound
+    alpha(T) or beta(T).
     """
     if n < 1:
         raise ValueError("a basis needs n >= 1")
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
-    if variant in ("a12", "b12"):
-        yield from _path_rows(n, variant[0])
-    elif variant == "a02":
+    rows = _path_rows(n, variant[0])
+    zeroed = _ZEROED[variant]
+    if zeroed == "q":
         zero = (0,) * n
-        for theta, xi, _ in _path_rows(n, "a"):
+        for theta, xi, _ in rows:
             yield theta, xi, zero
-    else:
-        zero_xi = (0,) * n
-        for theta in _subset_bits(n, motzkin.FLOOR[variant[0]] + 1):
-            T = frozenset(i + 1 for i, b in enumerate(theta) if b)
-            yield theta, zero_xi, super_artin_bound(T, n, variant[0])
+        return
+    if zeroed == "v":
+        # a reversed theta compares as its bitmask, position n the highest bit
+        rows = sorted((row for row in rows if not any(row[1])), key=lambda row: row[0][::-1])
+    yield from rows
 
 
 def iter_basis(n, variant):
@@ -445,7 +447,8 @@ def count_basis(n, variant):
 def hilbert_series(n, variant):
     """The trigraded Hilbert series: sum of u^|T| v^|S| q^(sum alpha).
 
-    a12 and b12 come from the path-height recursion; a11 and b11 are their
+    a12 and b12 come from the path-height recursion; every other variant
+    sets the grading `_ZEROED` names to zero in it: a11 and b11 are the
     xi-free parts (v = 0) and a02 is the x-free part of a12 (q = 0).
     """
     if n < 1:
@@ -453,11 +456,8 @@ def hilbert_series(n, variant):
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
     series = _height_series(n, variant[0])
-    if variant in ("a11", "b11"):
-        return series.substitute(v=0)
-    if variant == "a02":
-        return series.substitute(q=0)
-    return series
+    zeroed = _ZEROED[variant]
+    return series.substitute(**{zeroed: 0}) if zeroed else series
 
 
 def hilbert_11_formula(n, kind):

@@ -25,10 +25,18 @@ from .combinat import Partition
 # 128 + SIGPIPE: the status of a process that a closed pipe ended
 EXIT_CLOSED_PIPE = 141
 
-# Largest basis that `basis` and `bijection` list element by element.  At
-# about 200 bytes an element, a12 n=8 (5,160,960 elements) takes about 1 GB
-# and runs; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
+# Largest basis that `basis` and `bijection` list element by element.
+# `basis` streams, so the cap bounds its time and output, not its memory:
+# a12 n=8 (5,160,960 elements) as json runs in 75 s at 21 MB under a 1 GiB
+# address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
+
+# Largest bijection table, in rows: the table is held and sorted whole
+# before it is printed.  Under a 1 GiB address space n=7 (322,560 rows)
+# peaks at 131-136 MB in each format, about 420 bytes a row, and n=8
+# (5,160,960 rows, about 2.2 GB at that rate) runs out of memory.  The
+# cap keeps an estimate of about 840 MB.
+BIJECTION_ROWS_CAP = 2_000_000
 
 # Items per json.dumps call, or rows per write, when a table or a basis is
 # printed as json or csv.
@@ -144,34 +152,19 @@ def cmd_frobenius(args):
     from . import symfun
 
     _check_kl(args)
-    qsym = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
-    if args.form == "qsym":
-        if args.format == "json":
-            print(json.dumps(qsym.to_json(), indent=2))
-        elif args.format == "csv":
-            rows = [("{%s}" % ",".join(str(e) for e in s.elements), str(c))
-                    for s, c in qsym.sorted_items()]
-            _print_rows(rows, ("subset", "coeff"), "csv")
-        elif args.format == "latex":
-            pieces = ["\\left(%s\\right) Q_{\\{%s\\},%d}"
-                      % (c.latex(), ",".join(str(e) for e in s.elements), args.n)
-                      for s, c in qsym.sorted_items()]
-            print(" + ".join(pieces) if pieces else "0")
-        else:
-            for subset, coeff in qsym.sorted_items():
-                print("%s: %s" % (subset, coeff))
-        return 0
-    schur = symfun.schur_expansion(qsym)
+    expansion = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
+    if args.form == "schur":
+        expansion = symfun.schur_expansion(expansion)
     if args.format == "json":
-        print(json.dumps(schur.to_json(), indent=2))
-    elif args.format == "latex":
-        print(schur.latex())
+        print(json.dumps(expansion.to_json(), indent=2))
     elif args.format == "csv":
-        rows = [(str(p), str(c)) for p, c in schur.sorted_items()]
-        _print_rows(rows, ("partition", "coeff"), "csv")
+        rows = [(expansion.label(key), str(c)) for key, c in expansion.sorted_items()]
+        _print_rows(rows, (expansion.field, "coeff"), "csv")
+    elif args.format == "latex":
+        print(expansion.latex())
     else:
-        for partition, coeff in schur.sorted_items():
-            print("s[%s]: %s" % (partition, coeff))
+        for key, coeff in expansion.sorted_items():
+            print(expansion.line(key, coeff))
     return 0
 
 
@@ -193,6 +186,11 @@ def bijection_rows(n):
 
 def cmd_bijection(args):
     _check_enumerable(args.n, "a12")
+    count = basis.count_basis(args.n, "a12")
+    if count > BIJECTION_ROWS_CAP:
+        raise ValueError(
+            "the bijection table for n=%d has %d rows, over the cap of %d" % (args.n, count, BIJECTION_ROWS_CAP)
+        )
     rows = bijection_rows(args.n)
     _print_rows(rows, ("sigma", "basis_element", "k", "l", "sminv", "split"), args.format)
     return 0

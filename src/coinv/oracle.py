@@ -5,7 +5,7 @@ variables: symmetrize every monomial of a multidegree to span the
 invariants, span the ideal piece by invariant-times-monomial products, and
 read off the quotient dimension from an exact integer rank.  Everything is
 deterministic: fixed monomial order, fixed pivot rule (the largest column
-of each row, which in the canonical order of `_monomials` is its
+of each row, which in the canonical order of `_monomial_codes` is its
 x_1-heaviest monomial), no floats.  The elimination keeps its pivot rows
 fully reduced, so each row is cleared in one pass (see `_Echelon`).
 
@@ -17,12 +17,12 @@ verify's oracle checks judge a window by `compare_with_conjecture`.
 
 The hot paths are exact shortcuts of the plain definitions, which the
 tests keep as references (tests/oracle_reference.py, which also holds the
-monomial type and the monomial lists they read): invariants symmetrize
-one monomial per orbit through a precomputed S_n action table, type B ones
-too (the sign flips only scale or cancel an S_n orbit sum), and ideal rows
-are built from packed integer monomial codes, made once per degree, where
-the code of a product is the sum of its factors' codes and the fermionic
-sign is read from a memo (`_product_sign`).
+monomial type and the monomial lists they read).  A monomial is a packed
+integer code, and each degree's codes are made once (`_monomial_codes`):
+invariants symmetrize one code per orbit through a precomputed S_n action
+table, type B ones too (the sign flips only scale or cancel an S_n orbit
+sum), and ideal rows take the code of a product as the sum of its
+factors' codes, with the fermionic sign read from a memo (`_product_sign`).
 """
 
 from collections import defaultdict
@@ -47,16 +47,6 @@ def _compositions_of(total, slots):
 def _masks_of(n, count):
     """The masks over n variables with count bits set, ascending."""
     return [m for m in range(1 << n) if m.bit_count() == count]
-
-
-def _monomials(n, degree):
-    """The monomials of the multidegree (r, s, t) in canonical order, as
-    plain (xexp, tmask, xmask) tuples; built afresh on every call."""
-    r, s, t = degree
-    if s > n or t > n:
-        return []
-    masks_s, masks_t = _masks_of(n, s), _masks_of(n, t)
-    return [(xexp, tm, xm) for xexp in _compositions_of(r, n) for tm in masks_s for xm in masks_t]
 
 
 # -- group actions ------------------------------------------------------------
@@ -94,26 +84,30 @@ def _action_table(n):
     return tuple(table)
 
 
-def _table_images(mono, table):
-    """Yield (sign, image) of mono under every permutation of the table.
+def _table_images(code, table, n, width):
+    """Yield (sign, image) of the monomial packed in code (see
+    `_monomial_codes`, at the given digit width) under every permutation
+    of the table.
 
     The permutation sends x_i, theta_i and xi_i to the variables of slot
-    perm[i]; the sign is the reordering parity of the fermionic factors.
-    Images are plain (xexp, tmask, xmask) tuples, in the form of the
-    monomials of `_monomials`.
+    perm[i]: the x digits are read in the order of the inverse permutation,
+    and the masks go through the table, whose sign is the reordering
+    parity of the fermionic factors.  Images are codes of the same width.
     """
-    xexp, tmask, xmask = mono
+    half = (1 << n) - 1
+    tmask, xmask = code >> n & half, code & half
+    digit = (1 << width) - 1
+    xexp = [code >> 2 * n + width * i & digit for i in range(n)]
     for inverse, mask_images in table:
         s1, tm = mask_images[tmask]
         s2, xm = mask_images[xmask]
-        yield s1 * s2, (tuple([xexp[i] for i in inverse]), tm, xm)
+        packed = 0
+        for i in reversed(inverse):
+            packed = packed << width | xexp[i]
+        yield s1 * s2, (packed << n | tm) << n | xm
 
 
-# Reordering sign of a product, keyed by the masks (tmask1, xmask1, tmask2,
-# xmask2) of its factors.  A pure function of its key, filled on first use.
-_PRODUCT_SIGNS = {}
-
-
+@lru_cache(maxsize=None)
 def _product_sign(t1, f1, t2, f2):
     """Reordering sign of theta_t1 xi_f1 * theta_t2 xi_f2 for disjoint masks.
 
@@ -121,30 +115,31 @@ def _product_sign(t1, f1, t2, f2):
     crossing pair), then each fermionic family merges with its own sorting
     sign: one per pair of a factor of the second below one of the first.
     """
-    key = (t1, f1, t2, f2)
-    sign = _PRODUCT_SIGNS.get(key)
-    if sign is None:
-        parity = t2.bit_count() * f1.bit_count()
-        for mine, other in ((t1, t2), (f1, f2)):
-            while other:
-                low = other & -other
-                parity += (mine >> low.bit_length()).bit_count()
-                other ^= low
-        sign = _PRODUCT_SIGNS[key] = -1 if parity & 1 else 1
-    return sign
+    parity = t2.bit_count() * f1.bit_count()
+    for mine, other in ((t1, t2), (f1, f2)):
+        while other:
+            low = other & -other
+            parity += (mine >> low.bit_length()).bit_count()
+            other ^= low
+    return -1 if parity & 1 else 1
 
 
 @lru_cache(maxsize=None)
 def _monomial_codes(n, degree, width):
-    """The monomials of `_monomials(n, degree)` as packed integers.
+    """The monomials of the multidegree (r, s, t) in canonical order, as
+    packed integers: the x exponents run over the weak compositions of r
+    in lexicographic order, and within each, the theta masks with s bits
+    and then the xi masks with t bits ascend.
 
     A code is (x exponents in base 2**width, x_1 lowest) << 2n | tmask << n
-    | xmask.  For two monomials with disjoint masks whose exponents add up
-    to less than 2**width, the code of the product monomial is the sum of
-    the codes.  Built from the compositions and masks directly, in the
-    same order, and once per (n, degree, width): a window asks for each
-    degree's codes once as an ambient piece and again as factors and
-    complements of every piece above it.
+    | xmask, so width r.bit_length() holds every exponent.  For two
+    monomials with disjoint masks whose exponents add up to less than
+    2**width, the code of the product monomial is the sum of the codes.
+    The order does not depend on width, so a column index means the same
+    monomial at every width.  Built once per (n, degree, width): a window
+    asks for each degree's codes once as an ambient piece (which is also
+    what its invariants index) and again as factors and complements of
+    every piece above it.
     """
     r, s, t = degree
     if s > n or t > n:
@@ -280,10 +275,13 @@ def invariant_subspace(n, group_kind, degree):
     """Independent spanning vectors of the invariants in one multidegree.
 
     Reduces the Reynolds image of every monomial of the degree, in order,
-    to an echelon basis.  Only the first monomial of each orbit is
-    symmetrized: if g.m = e.m' with e = +-1, then R(m') = e.R(m).  Vectors
-    are sparse dicts over the canonical monomial index of the degree, in
-    descending order of their pivot (largest) column.
+    to an echelon basis.  The monomials are the packed codes of
+    `_monomial_codes(n, degree, r.bit_length())`, the tuple that
+    `_ideal_rank` caches as the ambient piece of this degree.  Only the
+    first monomial of each orbit is symmetrized: if g.m = e.m' with
+    e = +-1, then R(m') = e.R(m).  Vectors are sparse dicts over the
+    canonical monomial index of the degree, in descending order of their
+    pivot (largest) column.
 
     Type B symmetrizes through S_n alone.  Write deg_i(m) for the total
     degree of slot i (its x exponent plus its theta and xi bits); negating
@@ -291,26 +289,30 @@ def invariant_subspace(n, group_kind, degree):
     2^n sign flips sum to 2^n when every deg_i is even and to 0 otherwise.
     Hence R_B(m) = 2^n R_A(m) for a monomial with even slots, and
     R_B(m) = 0 for any other; the rows are those of the hyperoctahedral sum.
+    The parity of deg_i is bit i of tmask ^ xmask plus the lowest bit of
+    the i-th x digit of the code, so a monomial has an odd slot exactly
+    when those mask bits, moved to the digits' lowest bits, differ from
+    the digits' own lowest bits.
     """
     if group_kind not in ("a", "b"):
         raise ValueError("group_kind must be 'a' or 'b'")
     if group_kind == "b" and sum(degree) & 1:
         return ()  # the slot degrees add up to an odd total, so one is odd
-    # each degree is symmetrized once, so its monomials are not kept
-    basis = _monomials(n, degree)
-    index = {m: i for i, m in enumerate(basis)}
+    width = degree[0].bit_length()
+    basis = _monomial_codes(n, degree, width)
+    index = {code: i for i, code in enumerate(basis)}
     table = _action_table(n)
     shift = n if group_kind == "b" else 0
+    if shift:
+        # spread[mask]: bit i of mask at the lowest bit of x digit i (at
+        # width 0 every digit is 0, and spread[mask] is 0 only for mask 0)
+        spread = [sum((mask >> i & 1) << width * i for i in range(n)) for mask in range(1 << n)]
+        half, lows = (1 << n) - 1, spread[-1]
     ech = _Echelon()
     known = {}  # later orbit member -> (e, R(first member))
-    for i, mono in enumerate(basis):
-        if shift:
-            xexp, tmask, xmask = mono
-            odd = tmask ^ xmask
-            for slot, e in enumerate(xexp):
-                odd ^= (e & 1) << slot
-            if odd:
-                continue
+    for i, code in enumerate(basis):
+        if shift and spread[(code >> n ^ code) & half] ^ (code >> 2 * n & lows):
+            continue
         if i in known:
             sign, row = known.pop(i)
             if sign < 0:
@@ -318,7 +320,7 @@ def invariant_subspace(n, group_kind, degree):
         else:
             sums = {}
             signs = {}
-            for sign, image in _table_images(mono, table):
+            for sign, image in _table_images(code, table, n, width):
                 j = index[image]
                 sums[j] = sums.get(j, 0) + sign
                 signs.setdefault(j, sign)
@@ -339,7 +341,8 @@ DEFAULT_MONOMIAL_CAP = 50000
 
 
 def ambient_size(n, degree):
-    """len(_monomials(n, degree)), from the closed form without building it."""
+    """len(_monomial_codes(n, degree, width)), from the closed form without
+    building it."""
     r, s, t = degree
     return comb(r + n - 1, n - 1) * comb(n, s) * comb(n, t)
 

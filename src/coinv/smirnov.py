@@ -334,11 +334,18 @@ def psi_inverse(word):
     A letter alone in its block was an up-step; last (resp. first) in a
     larger block, a theta (resp. xi) step; interior, a down-step whose
     removal re-inserts the bar.  The block position from the right gives
-    alpha_i + 1.
+    alpha_i + 1.  The letters must be 1..n and the bars strictly increase
+    inside 1..n-1; then the blocks partition the word, none is empty, and
+    the peeling always finds i and ends at the block (1).
     """
     n = word.n
     if sorted(word.letters) != list(range(1, n + 1)):
         raise ValueError("psi_inverse needs a segmented permutation")
+    last = 0
+    for bar in word.splits:
+        if not last < bar < n:
+            raise ValueError("psi_inverse needs a segmented permutation")
+        last = bar
     blocks = [list(blk) for blk in word.blocks()]
     alpha = [0] * n
     theta = [0] * n
@@ -347,8 +354,6 @@ def psi_inverse(word):
         for bi, blk in enumerate(blocks):
             if i in blk:
                 break
-        else:
-            raise ValueError("letter %d missing" % i)
         p = len(blocks) - bi
         alpha[i - 1] = p - 1
         where = blk.index(i)
@@ -364,10 +369,6 @@ def psi_inverse(word):
             theta[i - 1] = 1
             xi[i - 1] = 1
             blocks[bi : bi + 1] = [blk[:where], blk[where + 1 :]]
-    # a segmented permutation always peels down to the block (1); an empty
-    # block, left by a bar at 0, at n or out of order, survives the peeling
-    if blocks != [[1]]:
-        raise ValueError("psi_inverse needs a segmented permutation")
     return BasisElement(tuple(alpha), tuple(theta), tuple(xi), "a12")
 
 

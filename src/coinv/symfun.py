@@ -18,7 +18,9 @@ from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
 class _Expansion:
     """A map from keys of one size n to QuvPolynomial.  Subclasses name the
-    keys' json field, their order and the error for a key of another size."""
+    keys' json and csv field, their order, the error for a key of another
+    size, and how a key is written: its csv label, its text line and its
+    LaTeX basis function."""
 
     def __init__(self, n, coeffs=None):
         self.n = n
@@ -42,8 +44,12 @@ class _Expansion:
     def to_json(self):
         return {
             "n": self.n,
-            "coeffs": [{self._field: list(key), "coeff": p.to_json()} for key, p in self.sorted_items()],
+            "coeffs": [{self.field: list(key), "coeff": p.to_json()} for key, p in self.sorted_items()],
         }
+
+    def latex(self):
+        pieces = ["\\left(%s\\right) %s" % (c.latex(), self._latex_key(key)) for key, c in self.sorted_items()]
+        return " + ".join(pieces) if pieces else "0"
 
     def __eq__(self, other):
         return type(other) is type(self) and self.n == other.n and self.coeffs == other.coeffs
@@ -52,12 +58,21 @@ class _Expansion:
 class QSymExpansion(_Expansion):
     """A map from IndexSubset keys (shared ambient n) to QuvPolynomial."""
 
-    _field = "subset"
+    field = "subset"
     _mismatch = "subset ambient %d does not match n=%d"
     add = _Expansion.add  # its own entry, where perfbench's tracer counts QSym adds
 
     def _sort_key(self, subset):
         return subset.bitmask()
+
+    def label(self, subset):
+        return "{%s}" % ",".join(map(str, subset.elements))
+
+    def line(self, subset, coeff):
+        return "%s: %s" % (subset, coeff)
+
+    def _latex_key(self, subset):
+        return "Q_{\\{%s\\},%d}" % (",".join(map(str, subset.elements)), self.n)
 
     def coefficient(self, subset):
         return self.coeffs.get(subset, ZERO)
@@ -80,18 +95,20 @@ class SchurExpansion(_Expansion):
     """A map from Partition keys (all of the same n) to QuvPolynomial,
     ordered lexicographically ascending (columns first)."""
 
-    _field = "partition"
+    field = "partition"
     _mismatch = "partition of %d does not match n=%d"
 
     def _sort_key(self, partition):
         return partition.parts
 
-    def latex(self):
-        pieces = []
-        for p, c in self.sorted_items():
-            sub = " ".join(str(x) for x in p.parts)
-            pieces.append("\\left(%s\\right) s_{%s}" % (c.latex(), sub))
-        return " + ".join(pieces) if pieces else "0"
+    def label(self, partition):
+        return str(partition)
+
+    def line(self, partition, coeff):
+        return "s[%s]: %s" % (partition, coeff)
+
+    def _latex_key(self, partition):
+        return "s_{%s}" % " ".join(map(str, partition.parts))
 
 
 # -- the Frobenius series ------------------------------------------------------

@@ -9,6 +9,7 @@ CHECKS and says so on stderr.
 
 import sys
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 from . import basis, motzkin, oracle, smirnov, symfun
@@ -129,8 +130,8 @@ def check_cardinality_b(n):
 
 
 def check_specializations(n):
-    """a12 with xi = 0 is a11, a12 with alpha = 0 is a02, and b12 with
-    xi = 0 is b11, compared row by row.
+    """a12 and b12 with xi = 0 are the super-Artin bases a11 and b11, and
+    a12 with alpha = 0 is a02, compared row by row.
 
     iter_basis is the sum of the boxes {alpha : 0 <= alpha <= bound} of the
     (theta, xi, bound) rows of iter_rows.  A box with no negative entry
@@ -139,7 +140,10 @@ def check_specializations(n):
     are equal as multisets exactly when their rows are.  A row with a
     negative entry is an empty box, which breaks that, so it is refused.
     Every box holds alpha = 0 once, so the alpha-free part of a12 is the
-    (theta, xi) of its rows.
+    (theta, xi) of its rows.  iter_rows derives a11 and b11 from the path
+    rows, so both they and the xi-free path rows are compared with rows
+    built apart from any path: one per T of {floor+1,...,n}, with the
+    bound super_artin_bound(T).
     """
     for m in range(1, n + 1):
         rows = {}
@@ -148,14 +152,21 @@ def check_specializations(n):
             for row in rows[variant]:
                 if min(row[2]) < 0:
                     return "%s row %s has a negative bound entry at n=%d" % (variant, row, m)
-        if sorted(row for row in rows["a12"] if not any(row[1])) != sorted(rows["a11"]):
-            return "a12 restricted to xi=0 differs from a11 at n=%d" % m
+        for kind in "ab":
+            lowest = motzkin.FLOOR[kind] + 1
+            artin = sorted(
+                (tuple(int(i in T) for i in range(1, m + 1)), (0,) * m, basis.super_artin_bound(T, m, kind))
+                for size in range(m - lowest + 2)
+                for T in combinations(range(lowest, m + 1), size)
+            )
+            if sorted(row for row in rows[kind + "12"] if not any(row[1])) != artin:
+                return "%s12 restricted to xi=0 differs from the super-Artin rows at n=%d" % (kind, m)
+            if sorted(rows[kind + "11"]) != artin:
+                return "%s11 differs from the super-Artin rows at n=%d" % (kind, m)
         if any(any(bound) for _, _, bound in rows["a02"]) or (
             sorted(row[:2] for row in rows["a12"]) != sorted(row[:2] for row in rows["a02"])
         ):
             return "a12 restricted to alpha=0 differs from a02 at n=%d" % m
-        if sorted(row for row in rows["b12"] if not any(row[1])) != sorted(rows["b11"]):
-            return "b12 restricted to xi=0 differs from b11 at n=%d" % m
     return None
 
 

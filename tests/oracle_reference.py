@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from operator import add
 
-from coinv.oracle import _Echelon, _monomials, _permute_mask, _product_sign
+from coinv.oracle import _Echelon, _permute_mask, _product_sign
 
 
 class SuperMonomial(tuple):
@@ -46,11 +46,23 @@ def _mask_bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def compositions(total, slots):
+    """The weak compositions of total into slots parts, lexicographic."""
+    if slots == 0:
+        return [()] if total == 0 else []
+    return [(first,) + rest for first in range(total + 1) for rest in compositions(total - first, slots - 1)]
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(n, degree):
     """All monomials of the multidegree (r, s, t) in canonical order, the
-    order of the oracle's columns."""
-    return tuple(tuple.__new__(SuperMonomial, mono) for mono in _monomials(n, degree))
+    order of the oracle's columns: x exponents lexicographic, then theta
+    masks, then xi masks, each ascending."""
+    r, s, t = degree
+    masks_s = [m for m in range(1 << n) if m.bit_count() == s]
+    masks_t = [m for m in range(1 << n) if m.bit_count() == t]
+    return tuple(tuple.__new__(SuperMonomial, (xexp, tm, xm))
+                 for xexp in compositions(r, n) for tm in masks_s for xm in masks_t)
 
 
 @lru_cache(maxsize=None)

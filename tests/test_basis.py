@@ -303,7 +303,8 @@ def reference_enumerate_basis(n, variant):
             out.append(BasisElement((0,) * n, theta, xi, variant))
     else:
         lowest = 2 if variant == "a11" else 1
-        for theta in basis._subset_bits(n, lowest):
+        for mask in range(1 << (n - lowest + 1)):
+            theta = (0,) * (lowest - 1) + tuple(mask >> i & 1 for i in range(n - lowest + 1))
             T = frozenset(i + 1 for i, b in enumerate(theta) if b)
             for alpha in product(*(range(b + 1) for b in reference_super_artin_bound(T, n, variant[0]))):
                 out.append(BasisElement(alpha, theta, (0,) * n, variant))
@@ -366,3 +367,10 @@ def test_unpack_decodes_only_nonzero_fields_correctly():
                 value = sum(coeff << pack.shift(*key) for key, coeff in terms.items())
                 poly = pack.unpack(value)
                 assert poly == QuvPolynomial(terms) == reference_unpack(pack, value)
+
+
+@pytest.mark.parametrize("variant", ["a11", "b11"])
+def test_path_of_a_super_artin_element_is_refused(variant):
+    element = next(iter_basis(3, variant))
+    with pytest.raises(ValueError, match="^variant %s has no path model$" % variant):
+        element.path()

@@ -686,6 +686,36 @@ def test_ascent_table_commands_refuse_n13_within_1_gib(argv):
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
+def test_bijection_refuses_n8_within_1_gib():
+    """The table is held whole, so its row count is checked before it is
+    built: n = 8 exits 2 at once, where it ran out of memory under 1 GiB
+    after 8.5 s and exited 1 with a traceback."""
+    import resource
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "bijection", "--n", "8", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "the bijection table for n=8 has 5160960 rows, over the cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert basis.count_basis(7, "a12") <= cli.BIJECTION_ROWS_CAP < basis.count_basis(8, "a12")
+
+
+def test_bijection_n7_runs_within_1_gib():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "bijection", "--n", "7", "--format", "csv"],
+        capture_output=True, env=env, timeout=300, preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # the header and one row per a12 element
+    assert proc.stdout.count(b"\n") == 1 + basis.count_basis(7, "a12")
+
+
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
     reason="the largest ascent tables under the cap, in subprocesses; set COINV_LONG=1 (about 3 minutes)",

@@ -160,15 +160,21 @@ def test_action_table_matches_group_action(kind):
     tabulates, the reference's hyperoctahedral table."""
     for n in (1, 2, 3):
         group = signed_group(n, kind)
-        if kind == "a":
-            table, table_images = oracle._action_table(n), oracle._table_images
-        else:
-            table, table_images = signed_action_table(n, kind), signed_table_images
+        table = oracle._action_table(n) if kind == "a" else signed_action_table(n, kind)
         assert len(table) == len(group)
         for r, s, t in product(range(4), range(n + 1), range(n + 1)):
-            for mono in monomial_basis(n, (r, s, t)):
+            monos = monomial_basis(n, (r, s, t))
+            codes = oracle._monomial_codes(n, (r, s, t), r.bit_length())
+            mono_of = dict(zip(codes, monos))
+            for code, mono in zip(codes, monos):
                 expected = [group_action(g, mono) for g in group]
-                assert list(table_images(mono, table)) == expected
+                if kind == "a":
+                    # the oracle's images are codes; map them back to monomials
+                    got = [(sign, mono_of[image]) for sign, image in
+                           oracle._table_images(code, table, n, r.bit_length())]
+                else:
+                    got = list(signed_table_images(mono, table))
+                assert got == expected
 
 
 def check_invariants_against(n, kind, symmetrize, monkeypatch):
@@ -476,7 +482,6 @@ def test_monomial_cap(monkeypatch):
     def no_work(*args):
         raise AssertionError("the over-cap piece was built")
 
-    monkeypatch.setattr(oracle, "_monomials", no_work)
     monkeypatch.setattr(oracle, "_monomial_codes", no_work)
     monkeypatch.setattr(oracle, "_ideal_rank", no_work)
     with pytest.raises(RuntimeError, match=r"\(9, 2, 2\) has 71500 monomials, over the cap 50000"):

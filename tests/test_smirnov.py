@@ -447,3 +447,11 @@ def test_psi_table_carries_the_statistics_of_every_leaf():
             assert mask == sum(1 << (s - 1) for s in word.splits)
             assert (k, l, inv, split) == word_statistics(word), sigma
             assert split == split_positions(word)
+
+
+@pytest.mark.parametrize("splits", [(-1,), (-2,), (0,), (3,), (1, 1), (2, 1)])
+def test_psi_inverse_refuses_bars_outside_1_to_n_minus_1_or_out_of_order(splits):
+    # negative bars once sliced the word into non-empty blocks, so a word
+    # that is no segmented permutation came back as an a12 element
+    with pytest.raises(ValueError, match="^psi_inverse needs a segmented permutation$"):
+        psi_inverse(SegmentedWord((1, 2, 3), splits))

@@ -336,3 +336,13 @@ def test_expansion_validation_messages():
     with pytest.raises(ValueError) as info:
         SchurExpansion(2).add(Partition((1,)), ONE)
     assert str(info.value) == "partition of 1 does not match n=2"
+
+
+def test_schur_terms_that_cancel_leave_no_key():
+    # Q_{{1},4} straightens to -s_{2,2} and Q_{{2},4} to +s_{2,2}
+    qsym = QSymExpansion(4, {IndexSubset((1,), 4): ONE, IndexSubset((2,), 4): ONE})
+    assert slinky(Composition((1, 3))) == SlinkyResult(-1, Partition((2, 2)))
+    schur = schur_expansion(qsym)
+    assert schur.coeffs == {}
+    assert schur == SchurExpansion(4)
+    assert schur.to_json() == {"n": 4, "coeffs": []}

@@ -450,3 +450,141 @@ def test_oracle_exactness_catches_ranks_that_move_with_the_window(monkeypatch):
 
     monkeypatch.setattr(oracle, "hilbert_via_oracle", widened_differs)
     assert verify.check_oracle_exactness(2) == "per-degree ranks changed with a larger window at [0, 0, 0]"
+
+
+def test_set_comp_inverse_catches_a_missing_subset(monkeypatch):
+    enumerate_subsets = verify.enumerate_subsets
+    monkeypatch.setattr(verify, "enumerate_subsets", lambda m: enumerate_subsets(m)[:-1])
+    assert verify.check_set_comp_inverse(3) == "subset count wrong at n=1"
+
+
+def test_set_comp_inverse_catches_a_composition_equality_by_identity(monkeypatch):
+    # every Comp(Set(a)) is a new object, so no composition equals its round trip
+    monkeypatch.setattr(Composition, "__eq__", lambda self, other: self is other)
+    assert verify.check_set_comp_inverse(3) == "Comp(Set(a)) != a at 1"
+
+
+def test_set_comp_inverse_catches_a_repeated_subset(monkeypatch):
+    # the last subset replaced by the first: the count holds, the images collide
+    enumerate_subsets = verify.enumerate_subsets
+
+    def repeated(m):
+        subsets = enumerate_subsets(m)
+        return subsets[:-1] + subsets[:1]
+
+    monkeypatch.setattr(verify, "enumerate_subsets", repeated)
+    assert verify.check_set_comp_inverse(3) == "Comp is not injective at n=2"
+
+
+def patch_paths(monkeypatch, kind, mutate):
+    """Patch motzkin.enumerate_paths so that the paths of `kind` pass
+    through mutate(list of paths)."""
+    enumerate_paths = motzkin.enumerate_paths
+
+    def mutated(n, variant):
+        paths = list(enumerate_paths(n, variant))
+        return mutate(paths) if variant == kind else paths
+
+    monkeypatch.setattr(motzkin, "enumerate_paths", mutated)
+
+
+def test_path_counts_catch_a_dropped_type_a_path(monkeypatch):
+    patch_paths(monkeypatch, "a", lambda paths: paths[:-1])
+    assert verify.check_path_counts(3) == "type A path count wrong at n=1"
+
+
+def test_path_counts_catch_a_repeated_type_a_path(monkeypatch):
+    patch_paths(monkeypatch, "a", lambda paths: paths[:-1] + paths[:1])
+    assert verify.check_path_counts(3) == "duplicate type A paths at n=2"
+
+
+def test_path_counts_catch_a_dropped_type_b_path(monkeypatch):
+    patch_paths(monkeypatch, "b", lambda paths: paths[:-1])
+    assert verify.check_path_counts(3) == "type A/type B count shift fails at n=1"
+
+
+ONE_ELEMENT = basis.BasisElement((0,), (0,), (0,), "a12")  # the a12 basis at n = 1
+
+
+def test_bijection_suite_catches_a_missing_segmented_permutation(monkeypatch):
+    iter_segmented_words = smirnov.iter_segmented_words
+
+    def all_but_the_first(content):
+        words = iter_segmented_words(content)
+        next(words)
+        yield from words
+
+    monkeypatch.setattr(smirnov, "iter_segmented_words", all_but_the_first)
+    assert verify.check_bijection_suite(3) == "segmented permutation count wrong at n=1"
+
+
+def test_bijection_suite_catches_an_invalid_word(monkeypatch):
+    psi = smirnov.psi
+
+    def bar_at_zero(element):
+        word = psi(element)
+        return SegmentedWord(word.letters, (0,) + word.splits)
+
+    monkeypatch.setattr(smirnov, "psi", bar_at_zero)
+    assert verify.check_bijection_suite(3) == "psi produced an invalid word for %s" % (ONE_ELEMENT,)
+
+
+@pytest.mark.parametrize("slot, shifted, witness", [
+    (0, lambda k: k + 1, "theta/xi degree not preserved at %s"),
+    (2, lambda inv: inv + 1, "x-degree vs sminv fails at %s"),
+    (3, lambda split: split + (1,), "Asc != Split at %s"),
+])
+def test_bijection_suite_catches_a_wrong_statistic(monkeypatch, slot, shifted, witness):
+    word_statistics = smirnov.word_statistics
+
+    def broken(word):
+        stats = list(word_statistics(word))
+        stats[slot] = shifted(stats[slot])
+        return tuple(stats)
+
+    monkeypatch.setattr(smirnov, "word_statistics", broken)
+    assert verify.check_bijection_suite(3) == witness % (ONE_ELEMENT,)
+
+
+class MiscountedBars(tuple):
+    """Bars that iterate as they are but count one too many."""
+
+    def __len__(self):
+        return tuple.__len__(self) + 1
+
+
+def test_bijection_suite_catches_a_wrong_block_count(monkeypatch):
+    psi = smirnov.psi
+
+    def miscounted(element):
+        word = psi(element)
+        return SegmentedWord(word.letters, MiscountedBars(word.splits))
+
+    monkeypatch.setattr(smirnov, "psi", miscounted)
+    assert verify.check_bijection_suite(3) == "block count identity fails at 1"
+
+
+def test_bijection_suite_catches_a_missing_element(monkeypatch):
+    iter_basis = basis.iter_basis
+    monkeypatch.setattr(basis, "iter_basis", lambda n, variant: iter(list(iter_basis(n, variant))[:-1]))
+    assert verify.check_bijection_suite(3) == "psi is not surjective at n=1"
+
+
+def test_series_totals_catch_a_wrong_hilbert_series(monkeypatch):
+    hilbert_series = basis.hilbert_series
+    monkeypatch.setattr(basis, "hilbert_series", lambda n, variant: hilbert_series(n, variant) + q_power(5))
+    assert verify.check_sw_recursion(3) == "sum of sw_q pieces differs from the Hilbert series at n=1"
+    assert verify.check_frobenius_routes(3) == "Frobenius paired with h_1^n misses the Hilbert series at n=1"
+
+
+def test_slinky_catches_a_shape_of_the_wrong_size(monkeypatch):
+    from coinv.combinat import Partition
+
+    monkeypatch.setattr(Partition, "n", property(lambda self: sum(self.parts) + 1))
+    assert verify.check_slinky(3) == "slinky shape has the wrong size at 1"
+
+
+def test_slinky_catches_a_hook_read_backwards(monkeypatch):
+    # (2, 1) read as the composition (1, 2), which straightens to zero
+    monkeypatch.setattr(verify, "Composition", lambda parts: Composition(tuple(parts)[::-1]))
+    assert verify.check_slinky(3) == "hook composition does not fix itself at n=3 d=1"

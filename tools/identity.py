@@ -1,0 +1,114 @@
+"""Compare the coinv command line of two source trees, invocation by invocation.
+
+    python tools/identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Every
+invocation of MATRIX runs once with each directory on PYTHONPATH, the two
+side by side; their stdout, stderr and exit codes are compared.  Each
+invocation that differs is printed with what differs.  The exit code is 1
+when any invocation differs, else 0.  The whole matrix took 66-81 s on a
+2-core machine.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+
+def _frobenius():
+    out = []
+    for n in range(1, 9):
+        for form in ("qsym", "schur"):
+            for fmt in ("text", "json", "csv", "latex"):
+                out.append(("frobenius", "--n", str(n), "--form", form, "--format", fmt))
+    filters = [("--k", "0"), ("--k", "1"), ("--l", "0"), ("--l", "2"), ("--k", "1", "--l", "1"),
+               ("--k", "2", "--l", "1")]
+    for n in (4, 6):
+        for form in ("qsym", "schur"):
+            for kl in filters:
+                out.append(("frobenius", "--n", str(n), "--form", form, *kl))
+    # refused: k or l out of range
+    for kl in (("--k", "4"), ("--l", "-1"), ("--k", "2", "--l", "2")):
+        out.append(("frobenius", "--n", "4", *kl))
+    return out
+
+
+def _basis():
+    out = []
+    for variant in ("a12", "a11", "a02", "b12", "b11"):
+        for n in range(1, 6 if variant == "b12" else 7):
+            for fmt in ("text", "json", "csv"):
+                out.append(("basis", "--n", str(n), "--variant", variant, "--format", fmt))
+    # refused: over the listing cap
+    out.append(("basis", "--n", "9"))
+    out.append(("basis", "--n", "40", "--variant", "b11"))
+    return out
+
+
+def _hilbert():
+    return [("hilbert", "--n", str(n), "--variant", variant, "--format", fmt)
+            for variant in ("a12", "a11", "a02", "b12", "b11")
+            for n in (1, 3, 5, 8)
+            for fmt in ("text", "json", "csv", "latex")]
+
+
+def _tables():
+    out = []
+    for n, fmt in ((4, "text"), (5, "json"), (6, "csv")):
+        mu = ",".join(["2"] + ["1"] * (n - 2))
+        out.append(("hook", "--n", str(n), "--format", fmt))
+        out.append(("hmu", "--n", str(n), "--mu", mu, "--format", fmt))
+        out.append(("bijection", "--n", str(n), "--format", fmt))
+    return out
+
+
+MATRIX = _frobenius() + _basis() + _hilbert() + _tables() + [
+    ("verify", "--n", "5"),
+    ("verify", "--n", "7"),
+    ("oracle", "--n", "3"),
+    ("oracle", "--n", "2", "--variant", "b12", "--format", "json"),
+]
+
+
+def _start(src, argv):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.Popen([sys.executable, "-m", "coinv.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _outcome(proc):
+    """(exit code, stdout sha256, stderr) of a started invocation."""
+    out, err = proc.communicate()
+    return proc.returncode, hashlib.sha256(out).hexdigest(), err.decode(errors="replace")
+
+
+def compare(parent_src, change_src, matrix):
+    """The invocations of matrix whose outcome differs, as (argv, parent
+    outcome, change outcome) triples."""
+    differing = []
+    for argv in matrix:
+        procs = _start(parent_src, argv), _start(change_src, argv)
+        before, after = (_outcome(proc) for proc in procs)
+        if before != after:
+            differing.append((argv, before, after))
+    return differing
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print("usage: python tools/identity.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    differing = compare(*args, MATRIX)
+    for command, before, after in differing:
+        print("DIFFERS: coinv %s" % " ".join(command))
+        for name, old, new in zip(("exit code", "stdout sha256", "stderr"), before, after):
+            if old != new:
+                print("  %s: %r -> %r" % (name, old, new))
+    print("%d invocations, %d differ" % (len(MATRIX), len(differing)))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
