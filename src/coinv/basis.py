@@ -92,7 +92,7 @@ class BasisElement(NamedTuple):
         """The decorated path carrying this element (a12/a02/b12 variants)."""
         if self.variant not in ("a12", "a02", "b12"):
             raise ValueError("variant %s has no path model" % self.variant)
-        steps = tuple(_STEP_OF_BITS[t, x] for t, x in zip(self.theta, self.xi))
+        steps = tuple(map(_STEP_OF_BITS.__getitem__, zip(self.theta, self.xi)))
         return motzkin.MotzkinPath(steps, self.variant[0])
 
 
@@ -164,8 +164,8 @@ def super_artin_bound(T, n, kind):
 def path_bound(path):
     """The staircase bound attached to a decorated path, read off the
     heights its steps reach; a MotzkinPath is valid, so nothing is checked."""
-    steps = motzkin.STEPS
-    heights = tuple(accumulate((steps[s][0] for s in path.steps), initial=0))
+    rises = motzkin.RISES
+    heights = tuple(accumulate((rises[s] for s in path.steps), initial=0))
     return _bound_of_heights(heights, path.variant)
 
 

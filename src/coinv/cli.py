@@ -31,11 +31,11 @@ EXIT_CLOSED_PIPE = 141
 # address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
-# Largest bijection table, in rows: the table is held and sorted whole
-# before it is printed.  Under a 1 GiB address space n=7 (322,560 rows)
-# peaks at 131-136 MB in each format, about 420 bytes a row, and n=8
-# (5,160,960 rows, about 2.2 GB at that rate) runs out of memory.  The
-# cap keeps an estimate of about 840 MB.
+# Largest bijection table, in rows: the rows are held whole, to be sorted,
+# before they are printed.  n=7 (322,560 rows) peaks at 95 MB in csv and
+# json and 98 MB in text, about 16 MB for the interpreter and 260 bytes a
+# row, so n=8 (5,160,960 rows, about 1.4 GB at that rate) would not fit
+# in a 1 GiB address space.  The cap keeps an estimate of about 560 MB.
 BIJECTION_ROWS_CAP = 2_000_000
 
 # Items per json.dumps call, or rows per write, when a table or a basis is
@@ -170,17 +170,30 @@ def cmd_frobenius(args):
 
 def bijection_rows(n):
     """The conversion table, grouped by bar pattern (bitmask order) and
-    ordered by the underlying permutation within each group."""
+    ordered by the underlying permutation within each group.
+
+    Each entry of psi_table becomes its output row at once, in the group
+    of its bar mask, and each group is sorted by sigma.  Inside one group
+    every sigma has its bars and spaces in the same places, so while every
+    letter is one digit (n <= 9) sigma's string order is the letters'
+    order.
+    """
     from . import smirnov
 
-    rows = sorted(smirnov.psi_table(n))
+    if not 1 <= n <= 9:
+        raise ValueError("the bijection table sorts sigma as a string, so needs 1 <= n <= 9, not n=%d" % n)
+    groups = [[] for _ in range(1 << (n - 1))]
     split_labels = {}  # split tuple -> "{...}", one entry per subset of 1..n-1
-    # Rows replace their entries in place, so each entry is freed as it goes.
-    for at, (_, _, sigma, monomial, k, l, inv, split) in enumerate(rows):
+    for mask, _, sigma, monomial, k, l, inv, split in smirnov.psi_table(n):
         label = split_labels.get(split)
         if label is None:
             label = split_labels[split] = "{%s}" % ",".join(map(str, split))
-        rows[at] = (sigma, monomial, k, l, inv, label)
+        groups[mask].append((sigma, monomial, k, l, inv, label))
+    rows = []
+    for group in groups:
+        group.sort()
+        rows += group
+        group.clear()
     return rows
 
 

@@ -14,6 +14,9 @@ STEP_CHARS = "UTXD"
 # (height change, theta bit, xi bit) of each step kind, indexed by UP,
 # HTHETA, HXI and DOWN: the one place the step encoding is written down.
 STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
+# The height change of each step kind, read off STEPS.
+RISES = tuple(rise for rise, _, _ in STEPS)
+_KINDS = frozenset(range(len(STEPS)))
 # The floor of each path type: the height that a path may not dip below,
 # which is also the number of forced up-steps it starts with.  A type A
 # path starts with the up-step to height 1 and stays at height >= 1; a
@@ -31,7 +34,7 @@ class MotzkinPath(Record):
         object.__setattr__(self, "steps", steps)
         if self.variant not in FLOOR:
             raise ValueError("variant must be 'a' or 'b'")
-        if any(s not in (UP, HTHETA, HXI, DOWN) for s in steps):
+        if not _KINDS.issuperset(steps):
             raise ValueError("unknown step kind in %r" % (steps,))
         if self.variant == "a":
             if not steps:
@@ -41,7 +44,7 @@ class MotzkinPath(Record):
         floor = FLOOR[self.variant]
         h = 0
         for i, s in enumerate(steps):
-            h += STEPS[s][0]
+            h += RISES[s]
             if h < floor:
                 raise ValueError("path dips below its floor at step %d" % (i + 1,))
 

@@ -7,6 +7,7 @@ the a12 basis elements, carrying ascents to the theta-degree, descents to
 the xi-degree and the sminversion count to the x-degree.
 """
 
+import re
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -372,9 +373,13 @@ def psi_inverse(word):
     return BasisElement(tuple(alpha), tuple(theta), tuple(xi), "a12")
 
 
+# A monomial_str with a leading "*" has its fermion factors from the first
+# match on: every x factor comes before them.
+_FERMION_FACTORS = re.compile(r"\*(?:th|xi)")
+
+
 def psi_table(n):
-    """The bijection table of size n, one entry per a12 element, unsorted,
-    from one walk.
+    """The bijection table of size n, one entry per a12 element, unsorted.
 
     Each entry is (bar mask, letters, sigma, monomial, k, l, sminv, split)
     for sigma = psi(element): the mask has bit s-1 set for a bar after
@@ -382,75 +387,91 @@ def psi_table(n):
     element's monomial_str(), and k, l, sminv and split are the word's
     statistics.
 
-    A depth-first walk over psi's insertion tree: a node holds the blocks
-    after letters 1..i-1, and its children insert i once for each step and
-    each alpha_i = a in 0..h_i-1, h_i the block count after the step, so
-    that a blocks lie right of i's block.  An up step opens a new block, a
-    theta step appends i to a block, a xi step prepends it, and a down step
-    merges two neighbouring blocks around it (so needs at least two).  Each
-    node carries the element's monomial factors, each block's formatted
-    string and the columns, so a leaf only joins them and packs its letters
-    and mask from its blocks.  Inserting i, the new largest letter, with a
-    blocks right of its block:
+    The entries of size n grow from those of size n-1 as psi inserts its
+    last letter n: each entry gives one child for each step and each
+    alpha_n = a in 0..h-1, h the block count after the step, so that a
+    blocks lie right of n's block.  An up step opens a new block, a theta
+    step appends n to a block, a xi step prepends it, and a down step
+    merges two neighbouring blocks around it (so needs at least two).  A
+    child's letters, sigma and mask are its parent's with n put in at one
+    place, and its monomial is its parent's with x_n^a after the x factors
+    and the step's fermion factors at the end.  The recursion holds one
+    entry of each size, so the table streams.  Inserting n, the new
+    largest letter, with a blocks right of its block:
 
-    * k grows by 1 after theta and down steps (i follows a smaller letter
-      in its block), l by 1 after xi and down steps (i precedes one).
-    * sminv grows by a.  A pair (i, w_j) counts by rule 1 exactly when w_j
+    * k grows by 1 after theta and down steps (n follows a smaller letter
+      in its block), l by 1 after xi and down steps (n precedes one).
+    * sminv grows by a.  A pair (n, w_j) counts by rule 1 exactly when w_j
       starts one of the a blocks to the right; rule 2 would need a letter
-      above i.  After a xi or down step the letter now after i used to
+      above n.  After a xi or down step the letter now after n used to
       start its block: the earlier letters it counted against by rule 1
-      it now counts against by rule 2, since i exceeds them all.
-    * The split set gains i-1 or nothing.  No old letter's thick flag
+      it now counts against by rule 2, since n exceeds them all.
+    * The split set gains n-1 or nothing.  No old letter's thick flag
       changes (a letter that stops starting its block becomes the low end
-      of the fall from i), and i is thick after up and xi steps, thin
+      of the fall from n), and n is thick after up and xi steps, thin
       after theta and down steps.  So split_positions' rule for the pair
-      (i-1, i) needs only i-1's thick flag, the number r of blocks right
-      of i-1's block, and whether i lands left of i-1: a > r after up and
+      (n-1, n) needs only n-1's thick flag, the number r of blocks right
+      of n-1's block, and whether n lands left of n-1: a > r after up and
       theta steps, a >= r after xi and down steps.
     """
     if n < 1:
         raise ValueError("psi_table needs n >= 1")
-    # A node is (size, blocks, labels, x factors, fermion factors, k, l,
-    # sminv, split, r, thick) with r and thick those of its largest letter.
-    # Factors are kept with a leading "*" so that joining is concatenation.
-    stack = [(1, ((1,),), ("1",), "", "", 0, 0, 0, (), 0, True)]
-    while stack:
-        size, blocks, labels, xs, fs, k, l, inv, split, r, thick = stack.pop()
-        if size == n:
-            letters = blocks[0]
-            mask = 0
-            for blk in blocks[1:]:
-                mask |= 1 << (len(letters) - 1)
-                letters += blk
-            yield mask, letters, "|".join(labels), (xs + fs)[1:] or "1", k, l, inv, split
-            continue
-        i = size + 1
-        s = str(i)
-        x_factor = ["", "*x" + s] + ["*x%d^%d" % (i, a) for a in range(2, i)]
-        up_fs, th_fs, xi_fs, down_fs = fs, fs + "*th" + s, fs + "*xi" + s, fs + "*th%s*xi%s" % (s, s)
-        # i - 1 splits when it is thick and i, thick, lands left of it, or
-        # when i is thin and i - 1 is thick or has i on its right
-        grown = split + (size,)
-        h = len(blocks)
-        for a in range(h + 1):
-            at = h - a
-            stack.append((i, blocks[:at] + ((i,),) + blocks[at:],
-                          labels[:at] + (s,) + labels[at:], xs + x_factor[a], up_fs,
-                          k, l, inv + a, grown if thick and a > r else split, a, True))
+    if n == 1:
+        yield 0, (1,), "1", "1", 0, 0, 0, ()
+        return
+    m = n - 1
+    s = str(n)
+    new = (n,)
+    x_factor = ["", "*x" + s] + ["*x%d^%d" % (n, a) for a in range(2, n)]
+    th, xi, down = "*th" + s, "*xi" + s, "*th%s*xi%s" % (s, s)
+    for mask, letters, sigma, monomial, k, l, inv, split in psi_table(m):
+        # starts[b]: the letters before block b; bars[b]: the index in
+        # sigma of the bar in front of block b, -1 for block 0 and
+        # len(sigma) for b = h
+        starts, bars = [0], [-1]
+        for label in sigma.split("|"):
+            starts.append(starts[-1] + label.count(" ") + 1)
+            bars.append(bars[-1] + len(label) + 1)
+        h = len(starts) - 1
+        # r blocks lie right of m's block; m is thick when it starts its
+        # block, as the largest letter ends no fall
+        at = letters.index(m)
+        r = (mask >> at).bit_count()
+        thick = at == 0 or (mask >> (at - 1)) & 1
+        # factors with a leading "*", so that joining is concatenation
+        starred = "*" + monomial if monomial != "1" else ""
+        cut = _FERMION_FACTORS.search(starred)
+        cut = cut.start() if cut else len(starred)
+        xs, fs = starred[:cut], starred[cut:]
+        th_fs, xi_fs, down_fs = fs + th, fs + xi, fs + down
+        # m splits when it is thick and n, thick, lands left of it, or
+        # when n is thin and m is thick or has n on its right
+        grown = split + (m,)
+        # up: n alone in front of the word
+        yield ((mask << 1) | 1, new + letters, s + "|" + sigma, (xs + x_factor[h] + fs)[1:],
+               k, l, inv + h, grown if thick and h > r else split)
         for a in range(h):
-            at = h - 1 - a
-            before, after = blocks[:at], blocks[at + 1:]
-            lbefore, lafter = labels[:at], labels[at + 1:]
-            blk, lab, child_xs = blocks[at], labels[at], xs + x_factor[a]
-            stack.append((i, before + (blk + (i,),) + after,
-                          lbefore + (lab + " " + s,) + lafter, child_xs, th_fs,
-                          k + 1, l, inv + a, grown if thick or a <= r else split, a, False))
-            stack.append((i, before + ((i,) + blk,) + after,
-                          lbefore + (s + " " + lab,) + lafter, child_xs, xi_fs,
-                          k, l + 1, inv + a, grown if thick and a >= r else split, a, True))
-        for a in range(h - 1):
-            at = h - 2 - a
-            stack.append((i, blocks[:at] + (blocks[at] + (i,) + blocks[at + 1],) + blocks[at + 2:],
-                          labels[:at] + (labels[at] + " " + s + " " + labels[at + 1],) + labels[at + 2:],
-                          xs + x_factor[a], down_fs, k + 1, l + 1, inv + a,
-                          grown if thick or a < r else split, a, False))
+            b = h - 1 - a  # the block with a blocks right of it
+            cx = xs + x_factor[a]
+            # n after block b: alone in a new block (up) or last in b
+            # (theta); the bars from position `end` on move one right
+            end, bar = starts[b + 1], bars[b + 1]
+            with_n = letters[:end] + new + letters[end:]
+            head, rest = sigma[:bar], sigma[bar:]
+            moved = (mask & ((1 << (end - 1)) - 1)) | (mask >> (end - 1) << end)
+            yield (moved | (1 << (end - 1)), with_n, head + "|" + s + rest, (cx + fs)[1:] or "1",
+                   k, l, inv + a, grown if thick and a > r else split)
+            yield (moved, with_n, head + " " + s + rest, (cx + th_fs)[1:],
+                   k + 1, l, inv + a, grown if thick or a <= r else split)
+            # n before block b: first in b (xi) or, for b > 0, in place of
+            # the bar in front of b (down); the bars after `begin` move
+            # one right
+            begin, bar = starts[b], bars[b]
+            with_n = letters[:begin] + new + letters[begin:]
+            rest = sigma[bar + 1:]
+            low, high = mask & ((1 << begin) - 1), mask >> begin << (begin + 1)
+            yield (low | high, with_n, sigma[:bar + 1] + s + " " + rest, (cx + xi_fs)[1:],
+                   k, l + 1, inv + a, grown if thick and a >= r else split)
+            if b:
+                yield ((low ^ (1 << (begin - 1))) | high, with_n, sigma[:bar] + " " + s + " " + rest,
+                       (cx + down_fs)[1:], k + 1, l + 1, inv + a, grown if thick or a < r else split)

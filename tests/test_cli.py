@@ -102,6 +102,30 @@ def test_bijection_matches_per_element_reference(capsys, n):
         assert first_difference(out, expected) is None, (n, fmt)
 
 
+def whole_sort_rows(n):
+    """The table as psi_table's entries sorted whole, by bar mask and then
+    by letters, and then relabelled into output rows."""
+    return [(sigma, monomial, k, l, inv, "{%s}" % ",".join(map(str, split)))
+            for _, _, sigma, monomial, k, l, inv, split in sorted(smirnov.psi_table(n))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grouped_rows_match_the_whole_sort(n):
+    # each bar mask's group is sorted by sigma, not by letters
+    assert cli.bijection_rows(n) == whole_sort_rows(n)
+
+
+def test_bijection_rows_refuse_n_outside_1_to_9(monkeypatch):
+    # sigma's string order is the letters' order only for one-digit letters
+    def refuse(n):
+        raise AssertionError("n=%d must be refused before psi_table runs" % n)
+
+    monkeypatch.setattr(smirnov, "psi_table", refuse)
+    for n in (0, 10):
+        with pytest.raises(ValueError, match="needs 1 <= n <= 9, not n=%d" % n):
+            cli.bijection_rows(n)
+
+
 @pytest.mark.parametrize("rows", [
     [],
     [("1", "1", 0, 0, 0, "{}")],
@@ -196,6 +220,18 @@ def test_measured_peak_is_the_childs_own(tmp_path):
     del ballast
     assert code == 0
     assert abs(held - plain) < 16 * 1024, (plain, held)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_bijection_n7_csv_output_and_peak_memory(tmp_path):
+    returncode, out, err, peak = run_measured(tmp_path, "bijection", "--n", "7", "--format", "csv")
+    assert (returncode, err) == (0, "")
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
+    # the peak is in kB; the run takes about 95 MB with each row put in its
+    # bar mask's group as psi_table yields it, and took about 130 MB when
+    # psi_table's whole entries were sorted before they became rows
+    assert peak < 110 * 1024, peak
 
 
 @pytest.mark.skipif(

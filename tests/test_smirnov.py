@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -447,6 +447,20 @@ def test_psi_table_carries_the_statistics_of_every_leaf():
             assert mask == sum(1 << (s - 1) for s in word.splits)
             assert (k, l, inv, split) == word_statistics(word), sigma
             assert split == split_positions(word)
+
+
+def test_psi_table_grows_entries_with_two_digit_letters():
+    # the first entries of size 11 insert 10 and 11 into sigmas whose
+    # blocks hold two-digit letters, where a block's characters and its
+    # letters no longer count alike
+    entries = list(islice(psi_table(11), 3000))
+    assert len({entry[2] for entry in entries}) == 3000
+    for mask, letters, sigma, monomial, k, l, inv, split in entries:
+        word = parse_word(sigma)
+        assert word.letters == letters and sorted(letters) == list(range(1, 12))
+        assert mask == sum(1 << (s - 1) for s in word.splits)
+        assert (k, l, inv, split) == word_statistics(word), sigma
+        assert psi_inverse(word).monomial_str() == monomial, sigma
 
 
 @pytest.mark.parametrize("splits", [(-1,), (-2,), (0,), (3,), (1, 1), (2, 1)])

@@ -60,6 +60,9 @@ def _tables():
         out.append(("hook", "--n", str(n), "--format", fmt))
         out.append(("hmu", "--n", str(n), "--mu", mu, "--format", fmt))
         out.append(("bijection", "--n", str(n), "--format", fmt))
+    # every format of the table at n=6, and n=7, where its memory matters
+    for n, fmt in ((6, "json"), (6, "text"), (7, "csv")):
+        out.append(("bijection", "--n", str(n), "--format", fmt))
     return out
 
 
