@@ -262,8 +262,16 @@ def _height_series(n, kind, start=None):
     default start is the floor (motzkin.FLOOR), which every element passes:
     in type A its forced first up-step has the factor [1]_q = 1.
     A walk whose estimated working set is over its `WALK_BYTES_CAP` is
-    refused before it starts.
+    refused before it starts, and a huge n before n! is computed: with
+    one-byte fields the walk would already hold
+    (top x-degree + 1) (n + 1)^2 n bytes.
     """
+    least = (top_x_degree(n, kind) + 1) * (n + 1) ** 2 * n
+    if least > WALK_BYTES_CAP[kind]:
+        raise ValueError(
+            "the type %s series at n=%d would hold at least %d MB of packed values, over the cap of %d MB"
+            % (kind.upper(), n, least // 10**6, WALK_BYTES_CAP[kind] // 10**6)
+        )
     pack = _Packing(n, kind)
     # a whole packed value spans us powers of v; a layer holds up to n of them
     need = pack.width * pack.qs * pack.us**2 // 8 * n

@@ -25,17 +25,18 @@ from .combinat import Partition
 # 128 + SIGPIPE: the status of a process that a closed pipe ended
 EXIT_CLOSED_PIPE = 141
 
-# Largest basis that `basis` and `bijection` list element by element.
+# Largest basis that `basis` lists element by element.
 # `basis` streams, so the cap bounds its time and output, not its memory:
 # a12 n=8 (5,160,960 elements) as json runs in 75 s at 21 MB under a 1 GiB
 # address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
-# Largest bijection table, in rows: the rows are held whole, to be sorted,
-# before they are printed.  n=7 (322,560 rows) peaks at 95 MB in csv and
-# json and 98 MB in text, about 16 MB for the interpreter and 260 bytes a
-# row, so n=8 (5,160,960 rows, about 1.4 GB at that rate) would not fit
-# in a 1 GiB address space.  The cap keeps an estimate of about 560 MB.
+# Largest bijection table, in rows, one per a12 element; the same gate as
+# `basis` applies it.  The rows are held whole, to be sorted, before they
+# are printed.  n=7 (322,560 rows) peaks at about 95 MB in csv, json and
+# text, about 16 MB for the interpreter and 260 bytes a row, so n=8
+# (5,160,960 rows, about 1.4 GB at that rate) would not fit in a 1 GiB
+# address space.  The cap keeps an estimate of about 560 MB.
 BIJECTION_ROWS_CAP = 2_000_000
 
 # Items per json.dumps call, or rows per write, when a table or a basis is
@@ -56,8 +57,9 @@ def _check_kl(args):
         raise ValueError("--k and --l need 0 <= k, 0 <= l and k + l < n=%d" % args.n)
 
 
-def _check_enumerable(n, variant):
-    """Refuse a basis too large to list, before any of it is built.
+def _check_enumerable(n, variant, cap):
+    """Refuse a listing of more than `cap` basis elements, before any of it
+    is built.
 
     Every basis grows with n, so the counts are taken for n = 1, 2, ... and
     the first one over the cap refuses every larger n without computing its
@@ -65,10 +67,10 @@ def _check_enumerable(n, variant):
     """
     for m in range(1, n + 1):
         count = basis.count_basis(m, variant)
-        if count > MAX_ENUMERATED:
+        if count > cap:
             raise ValueError(
                 "the %s basis for n=%d has %d elements%s, over the listing cap of %d"
-                % (variant, m, count, "" if m == n else " (and it grows with n)", MAX_ENUMERATED)
+                % (variant, m, count, "" if m == n else " (and it grows with n)", cap)
             )
 
 
@@ -113,7 +115,7 @@ def _print_rows(rows, header, fmt):
     elif fmt == "json":
         _print_json_list(rows, lambda row: dict(zip(header, row)))
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
+        widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
                   for i, h in enumerate(header)]
         print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
         for row in rows:
@@ -121,7 +123,7 @@ def _print_rows(rows, header, fmt):
 
 
 def cmd_basis(args):
-    _check_enumerable(args.n, args.variant)
+    _check_enumerable(args.n, args.variant, MAX_ENUMERATED)
     elements = basis.iter_basis(args.n, args.variant)
     if args.format == "json":
         _print_json_list(elements, basis.BasisElement.to_json)
@@ -198,12 +200,7 @@ def bijection_rows(n):
 
 
 def cmd_bijection(args):
-    _check_enumerable(args.n, "a12")
-    count = basis.count_basis(args.n, "a12")
-    if count > BIJECTION_ROWS_CAP:
-        raise ValueError(
-            "the bijection table for n=%d has %d rows, over the cap of %d" % (args.n, count, BIJECTION_ROWS_CAP)
-        )
+    _check_enumerable(args.n, "a12", BIJECTION_ROWS_CAP)
     rows = bijection_rows(args.n)
     _print_rows(rows, ("sigma", "basis_element", "k", "l", "sminv", "split"), args.format)
     return 0

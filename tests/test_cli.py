@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -156,6 +157,23 @@ def test_rows_stream_from_a_generator(capsys, count, fmt):
     expected = capsys.readouterr().out
     cli._print_rows((row for row in rows), header, fmt)
     assert capsys.readouterr().out == expected
+
+
+def test_text_widths_hold_no_copy_of_a_column(monkeypatch):
+    """Each column width is a max over a generator; unpacking a column into
+    max's arguments built an 800 KB tuple per column of 100,000 rows."""
+    import tracemalloc
+
+    rows = [(d, "x%d" % d, d % 7 == 0) for d in range(100_000)]
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            cli._print_rows(rows, ("d", "name", "seventh"), "text")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 400 * 1024, peak
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
@@ -680,6 +698,28 @@ def test_hilbert_refuses_a_large_n_within_1_gib(argv, kind, n, need, cap):
     )
 
 
+@pytest.mark.parametrize("variant, kind, cap", [("a12", "A", 750), ("b12", "B", 600)])
+def test_hilbert_refuses_a_huge_n_at_once(variant, kind, cap):
+    """The walk's bound with one-byte fields needs no n!, so it refuses a
+    huge n first; with n! computed first, n = 10^6 took 4.9 s to exit 2."""
+    import resource
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", "hilbert", "--n", "10000000", "--variant", variant],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(
+        r"the type %s series at n=10000000 would hold at least \d+ MB of packed values, over the cap of %d MB\n"
+        % (kind, cap), proc.stderr
+    ), proc.stderr
+    # the child's own CPU time, so a busy machine does not stretch it
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+
+
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
     reason="the largest walks under the memory cap, in subprocesses; set COINV_LONG=1 (about 2 minutes)",
@@ -723,9 +763,10 @@ def test_ascent_table_commands_refuse_n13_within_1_gib(argv):
 
 
 def test_bijection_refuses_n8_within_1_gib():
-    """The table is held whole, so its row count is checked before it is
-    built: n = 8 exits 2 at once, where it ran out of memory under 1 GiB
-    after 8.5 s and exited 1 with a traceback."""
+    """The table is held whole, so the listing gate checks its row count,
+    one per a12 element, against its own cap before it is built: n = 8
+    exits 2 at once, where it ran out of memory under 1 GiB after 8.5 s and
+    exited 1 with a traceback."""
     import resource
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -736,7 +777,9 @@ def test_bijection_refuses_n8_within_1_gib():
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "the bijection table for n=8 has 5160960 rows, over the cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    assert proc.stderr == (
+        "the a12 basis for n=8 has 5160960 elements, over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    )
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
     assert basis.count_basis(7, "a12") <= cli.BIJECTION_ROWS_CAP < basis.count_basis(8, "a12")
 
@@ -809,7 +852,7 @@ def test_jobs_is_only_an_oracle_option(command):
     (("basis", "--n", "9"), 92897280),
     (("basis", "--n", "9", "--variant", "a12", "--format", "json"), 92897280),
     (("basis", "--n", "7", "--variant", "b12"), 82575360),
-    (("bijection", "--n", "9"), 92897280),
+    (("bijection", "--n", "9"), 5160960),
     (("basis", "--n", "40", "--variant", "b11"), 197613377),
 ])
 def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv, count):
@@ -818,11 +861,29 @@ def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv,
 
     monkeypatch.setattr(basis, "enumerate_basis", no_enumeration)
     monkeypatch.setattr(basis, "iter_basis", no_enumeration)
+    monkeypatch.setattr(smirnov, "psi_table", no_enumeration)
+    # each listing command gates at its own cap
+    cap = {"basis": cli.MAX_ENUMERATED, "bijection": cli.BIJECTION_ROWS_CAP}[argv[0]]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "has %d elements" % count in err
-    assert "over the listing cap of %d" % cli.MAX_ENUMERATED in err
+    assert "over the listing cap of %d" % cap in err
+
+
+def test_bijection_refuses_a_large_n_at_the_first_n_over_its_cap(capsys, monkeypatch):
+    """The one gate names the first n whose table is over the row cap,
+    before any of the table is built."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was started")
+
+    monkeypatch.setattr(smirnov, "psi_table", no_table)
+    monkeypatch.setattr(basis, "iter_basis", no_table)
+    code, out, err = run_cli(capsys, "bijection", "--n", "40")
+    assert (code, out) == (2, "")
+    assert err == (
+        "the a12 basis for n=8 has 5160960 elements (and it grows with n), over the listing cap of 2000000\n"
+    )
 
 
 def test_listing_cap_admits_a12_n8():

@@ -61,8 +61,11 @@ def _tables():
         out.append(("hmu", "--n", str(n), "--mu", mu, "--format", fmt))
         out.append(("bijection", "--n", str(n), "--format", fmt))
     # every format of the table at n=6, and n=7, where its memory matters
-    for n, fmt in ((6, "json"), (6, "text"), (7, "csv")):
+    for n, fmt in ((6, "json"), (6, "text"), (7, "csv"), (7, "text")):
         out.append(("bijection", "--n", str(n), "--format", fmt))
+    # refused: over the row cap
+    out.append(("bijection", "--n", "8"))
+    out.append(("bijection", "--n", "9"))
     return out
 
 
