@@ -2,8 +2,8 @@
 
 Subcommands: basis, hilbert, frobenius, bijection, hook, hmu, verify,
 oracle.  All computation is deterministic, so output is byte-stable for a
-fixed invocation regardless of the oracle's --jobs.  Exit codes: 0 success,
-1 verification failure, 2 invalid input, 141 stdout closed by its reader.
+fixed invocation.  Exit codes: 0 success, 1 verification failure, 2 invalid
+input, 141 stdout closed by its reader.
 """
 
 import argparse
@@ -255,14 +255,9 @@ def cmd_oracle(args):
     from . import oracle
 
     kind = args.variant[0]
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        return _fail("--jobs must be between 1 and the %d CPUs of this machine" % cpus)
     if args.n >= 4 and not args.long:
         return _fail("the n >= 4 oracle run is long; pass --long to enable it")
-    poly, complete, report = oracle.hilbert_via_oracle(
-        args.n, kind, max_x_degree=args.max_x_degree, jobs=args.jobs
-    )
+    poly, complete, report = oracle.hilbert_via_oracle(args.n, kind, max_x_degree=args.max_x_degree)
     if args.format == "json":
         print(json.dumps({
             "hilbert": poly.to_json(),
@@ -338,7 +333,6 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="quotient dimensions by exact linear algebra")
     common(p, ("text", "json"), ("a12", "b12"))
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--max-x-degree", type=int, default=None)
     p.add_argument("--long", action="store_true", help="allow the long runs at n >= 4")
     p.set_defaults(run=cmd_oracle)

@@ -27,7 +27,7 @@ factors' codes, with the fermionic sign read from a memo (`_product_sign`).
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 from math import comb, gcd
 
 from . import basis
@@ -331,8 +331,6 @@ def invariant_subspace(n, group_kind, degree):
         if not row:
             continue
         ech.insert(row)
-        if ech.rank == len(basis):
-            break
     return tuple(dict(row) for _, row in sorted(ech.pivots.items(), reverse=True))
 
 
@@ -425,7 +423,7 @@ def default_max_x_degree(n, group_kind):
 WINDOW_PIECE_CAP = 100_000
 
 
-def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
+def hilbert_via_oracle(n, group_kind, max_x_degree=None):
     """Assemble the quotient Hilbert series over all multidegrees.
 
     Scans x-degrees up to max_x_degree (default: conjectured top plus two)
@@ -451,14 +449,7 @@ def hilbert_via_oracle(n, group_kind, max_x_degree=None, jobs=1):
                 "the window of x-degrees 0..%d has %d graded pieces, over the cap %d"
                 % (max_x_degree, (max_x_degree + 1) * (n + 1) ** 2, WINDOW_PIECE_CAP)
             )
-    pieces = (repeat(n), repeat(group_kind), degrees)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            report = list(pool.map(_quotient_entry, *pieces, chunksize=8))
-    else:
-        report = list(map(_quotient_entry, *pieces))
+    report = [_quotient_entry(n, group_kind, degree) for degree in degrees]
     terms = {tuple(row["degree"]): row["quotient"] for row in report if row["quotient"]}
     return QuvPolynomial(terms), not _top_band(report)[1], report
 

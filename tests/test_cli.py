@@ -8,8 +8,6 @@ import signal
 import subprocess
 import sys
 
-import concurrent.futures
-
 import pytest
 
 from coinv import basis, cli, oracle, smirnov, verify
@@ -603,32 +601,12 @@ def test_oracle_rejects_sub_variants(capsys, variant):
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "3", "1000000"])
-def test_oracle_jobs_out_of_range_exits_2_before_any_work(capsys, monkeypatch, jobs):
-    def no_workers(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
+def test_oracle_over_the_cap_exits_2_before_any_piece(capsys, monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("the oracle ran")
+        raise AssertionError("a piece was eliminated")
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
-    monkeypatch.setattr(oracle, "hilbert_via_oracle", no_work)
-    code, out, err = run_cli(capsys, "oracle", "--n", "2", "--jobs", jobs)
-    assert code == 2
-    assert out == ""
-    assert "--jobs must be between 1 and the 2 CPUs" in err
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_oracle_over_the_cap_exits_2_before_any_piece(capsys, monkeypatch, jobs):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a piece was eliminated or a worker pool was started")
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(oracle, "_ideal_rank", no_work)
-    code, out, err = run_cli(capsys, "oracle", "--n", "5", "--variant", "a12", "--long", "--jobs", jobs)
+    code, out, err = run_cli(capsys, "oracle", "--n", "5", "--variant", "a12", "--long")
     assert code == 2
     assert out == ""
     assert err == "graded piece (9, 2, 2) has 71500 monomials, over the cap 50000\n"
@@ -841,8 +819,9 @@ def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypat
     assert "max_x_degree must be at least 0" in err
 
 
-@pytest.mark.parametrize("command", ["basis", "hilbert", "frobenius", "bijection", "hook", "hmu", "verify"])
+@pytest.mark.parametrize("command", ["basis", "hilbert", "frobenius", "bijection", "hook", "hmu", "verify", "oracle"])
 def test_jobs_is_only_an_oracle_option(command):
+    """No command, oracle included, takes --jobs."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--n", "2", "--jobs", "1"])
     assert exc.value.code == 2

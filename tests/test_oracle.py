@@ -594,13 +594,6 @@ def test_type_b_n3_oracle_matches_conjecture():
     assert poly == basis.hilbert_series(3, "b12")
 
 
-def test_oracle_jobs_deterministic():
-    serial = hilbert_via_oracle(2, "a", jobs=1)
-    parallel = hilbert_via_oracle(2, "a", jobs=2)
-    assert serial[0] == parallel[0]
-    assert serial[2] == parallel[2]
-
-
 def test_exactness_window():
     from coinv import verify
 

@@ -442,8 +442,8 @@ def test_oracle_exactness_catches_ranks_that_move_with_the_window(monkeypatch):
 
     hilbert_via_oracle = oracle.hilbert_via_oracle
 
-    def widened_differs(n, kind, max_x_degree=None, jobs=1):
-        poly, complete, report = hilbert_via_oracle(n, kind, max_x_degree=max_x_degree, jobs=jobs)
+    def widened_differs(n, kind, max_x_degree=None):
+        poly, complete, report = hilbert_via_oracle(n, kind, max_x_degree=max_x_degree)
         if max_x_degree is not None:
             report[0] = dict(report[0], ideal_rank=report[0]["ideal_rank"] + 1)
         return poly, complete, report
