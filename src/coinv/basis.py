@@ -266,7 +266,9 @@ def _height_series(n, kind, start=None):
     one-byte fields the walk would already hold
     (top x-degree + 1) (n + 1)^2 n bytes.
     """
-    least = (top_x_degree(n, kind) + 1) * (n + 1) ** 2 * n
+    # least >= n, so an n over the cap is refused with n itself as the
+    # bound: least // 10**6 could pass Python's int-to-str digit limit
+    least = n if n > WALK_BYTES_CAP[kind] else (top_x_degree(n, kind) + 1) * (n + 1) ** 2 * n
     if least > WALK_BYTES_CAP[kind]:
         raise ValueError(
             "the type %s series at n=%d would hold at least %d MB of packed values, over the cap of %d MB"
@@ -329,6 +331,12 @@ def ascent_table(n):
     """
     if n < 1:
         raise ValueError("ascent_table needs n >= 1")
+    if n > TABLE_SLOTS_CAP.bit_length():
+        # the 2^(n-1) ascent sets alone pass the cap, so no integer of n bits is built
+        raise ValueError(
+            "the ascent table at n=%d would have at least 2^%d terms, over the cap of %d"
+            % (n, n - 1, TABLE_SLOTS_CAP)
+        )
     slots = (1 << (n - 1)) * (top_x_degree(n, "a") + 1) * (n * (n + 1) // 2)
     if slots > TABLE_SLOTS_CAP:
         raise ValueError(

@@ -283,8 +283,9 @@ def hook_schur_coefficient(n, k, l, d):
     the elements with ascent set exactly {d+1,...,n-1}."""
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
+    table = basis_mod.ascent_table(n)  # refuses a huge n before interval is built
     interval = (1 << (n - 1)) - (1 << d)
-    exact = (poly for mask, poly in basis_mod.ascent_table(n) if mask == interval)
+    exact = (poly for mask, poly in table if mask == interval)
     return _q_slice(exact, k, l)
 
 

@@ -252,7 +252,7 @@ def test_bijection_n7_csv_output_and_peak_memory(tmp_path):
 
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
-    reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 25 s)",
+    reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 6 s)",
 )
 def test_verify_n7_output_and_peak_memory(tmp_path):
     returncode, out, err, peak = run_measured(tmp_path, "verify", "--n", "7")
@@ -271,7 +271,7 @@ def test_verify_n7_output_and_peak_memory(tmp_path):
 
 @pytest.mark.skipif(
     not os.environ.get("COINV_LONG"),
-    reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 15 s)",
+    reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 6 s)",
 )
 def test_oracle_n4_output_and_peak_memory(tmp_path):
     returncode, out, err, peak = run_measured(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
@@ -736,6 +736,39 @@ def test_ascent_table_commands_refuse_n13_within_1_gib(argv):
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000\n"
+    # the child's own CPU time, so a busy machine does not stretch it
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+
+
+HUGE = "1" + "0" * 20
+DIGITS_901 = "1" + "0" * 900
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("hook", "--n", HUGE), "15000000"),
+    (("frobenius", "--n", HUGE), "15000000"),
+    (("hmu", "--n", HUGE, "--mu", HUGE), "15000000"),
+    (("hook", "--n", "100000"), "15000000"),
+    (("hmu", "--n", "30000", "--mu", "30000"), "15000000"),
+    (("hilbert", "--n", DIGITS_901), "750 MB"),
+])
+def test_huge_n_is_refused_by_its_cap_at_once(argv, cap):
+    """A bound that needs no integer of n bits refuses a huge n: 1 << (n - 1)
+    overflowed at n = 10^20, and at n = 100000 the slot count, or a
+    901-digit n's walk bound, passed Python's int-to-str digit limit, which
+    became the printed reason."""
+    import resource
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    line, rest = proc.stderr.split("\n", 1)
+    assert rest == "" and ("n=%s " % argv[2]) in line and line.endswith("over the cap of %s" % cap), line[:200]
     # the child's own CPU time, so a busy machine does not stretch it
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 

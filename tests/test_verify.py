@@ -9,6 +9,45 @@ from coinv.qpoly import ZERO, QuvPolynomial, q_power
 from coinv.smirnov import SegmentedWord
 
 
+# -- the check table -------------------------------------------------------------
+
+
+def test_checks_run_in_order_at_their_limits():
+    """Every check's name and limit, in run order, written out: verify --n 7
+    builds its expected stderr from CHECKS, so it would not catch a moved
+    limit."""
+    assert [(name, limit) for name, _, limit in verify.CHECKS] == [
+        ("q-pascal", 12),
+        ("q-chu-vandermonde", 10),
+        ("eval-at-one", 6),
+        ("set-comp-inverse", 10),
+        ("path-counts", 8),
+        ("cardinality-a", 8),
+        ("cardinality-b", 6),
+        ("specializations", 8),
+        ("hilbert-stirling-a", 7),
+        ("hilbert-stirling-b", 5),
+        ("hilbert-dimension", 7),
+        ("count-by-height", 7),
+        ("count-type-b-refined", 5),
+        ("bijection-suite", 7),
+        ("sw-recursion", 7),
+        ("frobenius-routes", 6),
+        ("symmetry-witness", 5),
+        ("h-mu-dual", 5),
+        ("hook-identities", 7),
+        ("hook-h-dual", 8),
+        ("hook-characterization", 7),
+        ("frobenius-specializations", 6),
+        ("slinky", 8),
+        ("oracle-type-a", 3),
+        ("oracle-type-b", 2),
+        ("oracle-exactness", 2),
+    ]
+    assert verify.ALL_CHECKS == [(name, check) for name, check, _ in verify.CHECKS]
+    assert verify.LIMITS == {name: limit for name, _, limit in verify.CHECKS}
+
+
 def reference_qsym_monomial_expansion(expansion):
     """The word-by-word expansion: one polynomial add per word."""
     n = expansion.n
