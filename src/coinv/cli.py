@@ -44,11 +44,6 @@ BIJECTION_ROWS_CAP = 2_000_000
 JSON_SLICE = 1024
 
 
-def _fail(message):
-    print(message, file=sys.stderr)
-    return 2
-
-
 def _check_kl(args):
     """Refuse --k/--l outside 0 <= k, 0 <= l, k + l < n (unset counts as 0)."""
     k = args.k or 0
@@ -236,9 +231,9 @@ def cmd_hmu(args):
     try:
         mu = Partition(tuple(int(p) for p in args.mu.split(",")))
     except ValueError as exc:
-        return _fail("invalid --mu: %s" % exc)
+        raise ValueError("invalid --mu: %s" % exc) from None
     if mu.n != args.n:
-        return _fail("--mu must be a partition of n=%d" % args.n)
+        raise ValueError("--mu must be a partition of n=%d" % args.n)
     _check_kl(args)
     rows = [(k, l, str(symfun.h_mu_coefficient(args.n, k, l, mu))) for k, l in _kl_pairs(args)]
     _print_rows(rows, ("k", "l", "coefficient"), args.format)
@@ -256,7 +251,7 @@ def cmd_oracle(args):
 
     kind = args.variant[0]
     if args.n >= 4 and not args.long:
-        return _fail("the n >= 4 oracle run is long; pass --long to enable it")
+        raise ValueError("the n >= 4 oracle run is long; pass --long to enable it")
     poly, complete, report = oracle.hilbert_via_oracle(args.n, kind, max_x_degree=args.max_x_degree)
     if args.format == "json":
         print(json.dumps({
@@ -343,9 +338,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        return _fail("--n must be at least 1")
     try:
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
         code = args.run(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -355,7 +350,8 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
     except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
+        print(exc, file=sys.stderr)
+        return 2
     return code
 
 

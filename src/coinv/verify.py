@@ -80,7 +80,7 @@ def check_q_chu_vandermonde(m):
                     return "q-Chu-Vandermonde fails at n=%d d=%d k=%d l=%d" % (m, d, k, l)
 
 
-@_check("eval-at-one", 6)
+@_check("eval-at-one", 8)
 def check_eval_at_one(m):
     a = basis.hilbert_series(m, "a12")
     b = smirnov.sw_q(m, 0, 0)
@@ -139,7 +139,7 @@ def check_cardinality_a(m):
         return "a12 cardinality wrong at n=%d" % m
 
 
-@_check("cardinality-b", 6)
+@_check("cardinality-b", 8)
 def check_cardinality_b(m):
     if basis.count_basis(m, "b12") != 4**m * factorial(m):
         return "b12 cardinality wrong at n=%d" % m
@@ -187,19 +187,19 @@ def check_specializations(m):
         return "a12 restricted to alpha=0 differs from a02 at n=%d" % m
 
 
-@_check("hilbert-stirling-a", 7)
+@_check("hilbert-stirling-a", 12)
 def check_hilbert_stirling_a(m):
     if basis.hilbert_series(m, "a12").substitute(v=0) != basis.hilbert_11_formula(m, "a"):
         return "a12 Hilbert at v=0 differs from the q-Stirling form at n=%d" % m
 
 
-@_check("hilbert-stirling-b", 5)
+@_check("hilbert-stirling-b", 10)
 def check_hilbert_stirling_b(m):
     if basis.hilbert_series(m, "b12").substitute(v=0) != basis.hilbert_11_formula(m, "b"):
         return "b12 Hilbert at v=0 differs from the q-Stirling form at n=%d" % m
 
 
-@_check("hilbert-dimension", 7)
+@_check("hilbert-dimension", 8)
 def check_hilbert_dimension(m):
     """a12 at q=u=v=1 and at q=0; b12 at q=u=v=1."""
     if basis.hilbert_series(m, "a12").evaluate() != (1 << (m - 1)) * factorial(m):
@@ -229,7 +229,7 @@ def _count_by_end(m, kind):
     return groups
 
 
-@_check("count-by-height", 7)
+@_check("count-by-height", 8)
 def check_count_by_height(m):
     groups = _count_by_end(m, "a")
     for r in range(0, m + 1):
@@ -240,7 +240,7 @@ def check_count_by_height(m):
             return "count_by_height enumeration differs at (%d, %d)" % (m, r)
 
 
-@_check("count-type-b-refined", 5)
+@_check("count-type-b-refined", 8)
 def check_count_type_b_refined(m):
     """The last step's class is E, U or D as it keeps, raises or lowers the height."""
     groups = _count_by_end(m, "b")
@@ -409,7 +409,7 @@ def _piece_expansion(m, k, l):
     return qsym_monomial_expansion(symfun.frobenius_qsym(m, k=k, l=l))
 
 
-@_check("symmetry-witness", 5)
+@_check("symmetry-witness", 6)
 def check_symmetry_witness(m):
     for k in range(m):
         for l in range(m - k):
@@ -422,7 +422,7 @@ def check_symmetry_witness(m):
                         return "monomial expansion not symmetric at n=%d (k=%d,l=%d)" % (m, k, l)
 
 
-@_check("h-mu-dual", 5)
+@_check("h-mu-dual", 6)
 def check_h_mu_dual(m):
     for mu in enumerate_partitions(m):
         exponent = tuple(mu.parts) + (0,) * (m - mu.length)
@@ -434,7 +434,7 @@ def check_h_mu_dual(m):
                     return "h_mu dual-path fails at n=%d mu=%s (k=%d,l=%d)" % (m, mu, k, l)
 
 
-@_check("hook-identities", 7)
+@_check("hook-identities", 8)
 def check_hook_identities(m):
     for d in range(m):
         for k in range(m):
@@ -473,7 +473,7 @@ def _qsym_of_stream(elements, m, weight):
     return _qsym_tally(((basis.ascent_positions(b.alpha, b.theta, b.xi), weight(b)) for b in elements), m)
 
 
-@_check("frobenius-specializations", 6)
+@_check("frobenius-specializations", 7)
 def check_frobenius_specializations(m):
     frob = symfun.frobenius_qsym(m)
     from_a02 = _qsym_of_stream(basis.iter_basis(m, "a02"), m, lambda b: (0, b.deg_theta, b.deg_xi))

@@ -198,12 +198,15 @@ def test_bijection_n7_csv_is_pinned(capsys):
 
 # Runs coinv as `python -m coinv.cli` does, and at exit writes the process's
 # own peak resident set (VmHWM, in kB) to the file named by its first
-# argument.  The child's ru_maxrss, as os.wait4 returns it, will not do: on
-# Linux it also counts the resident set of the process that spawned it.
+# argument, or nothing where there is no /proc/self/status.  The child's
+# ru_maxrss, as os.wait4 returns it, will not do: on Linux it also counts
+# the resident set of the process that spawned it.
 PEAK_PROBE = """\
-import atexit, runpy, sys
+import atexit, os, runpy, sys
 
 def record(path=sys.argv.pop(1)):
+    if not os.path.exists("/proc/self/status"):
+        return
     with open("/proc/self/status") as status:
         peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
     with open(path, "w") as out:
@@ -214,25 +217,42 @@ runpy.run_module("coinv.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def run_measured(tmp_path, *argv):
-    """Run `coinv argv` in a child process; return its exit code, stdout
-    bytes, stderr text and its own peak resident set in kB."""
+def limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_child(tmp_path, *argv, timeout=120):
+    """Run `coinv argv` in a child process under a 1 GiB address space.
+
+    Returns its exit code, stdout bytes, stderr text, its own peak resident
+    set in kB (None without /proc/self/status) and its own CPU seconds, which
+    a busy machine does not stretch as it does wall time."""
+    import resource
+
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out_path, err_path, peak_path = tmp_path / "out", tmp_path / "err", tmp_path / "peak"
+    peak_path.unlink(missing_ok=True)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     with open(out_path, "wb") as out, open(err_path, "wb") as err:
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_PROBE, str(peak_path), *argv], stdout=out, stderr=err, env=env
+            [sys.executable, "-c", PEAK_PROBE, str(peak_path), *argv],
+            stdout=out, stderr=err, env=env, timeout=timeout, preexec_fn=limit_address_space,
         )
-    return proc.returncode, out_path.read_bytes(), err_path.read_text(), int(peak_path.read_text())
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    peak = int(peak_path.read_text()) if peak_path.exists() else None
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc.returncode, out_path.read_bytes(), err_path.read_text(), peak, cpu
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_measured_peak_is_the_childs_own(tmp_path):
     """A large buffer held by the test process does not reach the reading."""
-    code, out, _, plain = run_measured(tmp_path, "hilbert", "--n", "2")
+    code, out, _, plain, _ = run_child(tmp_path, "hilbert", "--n", "2")
     assert code == 0 and out
     ballast = b"\1" * (64 << 20)  # every page written, so all of it resident
-    code, _, _, held = run_measured(tmp_path, "hilbert", "--n", "2")
+    code, _, _, held, _ = run_child(tmp_path, "hilbert", "--n", "2")
     del ballast
     assert code == 0
     assert abs(held - plain) < 16 * 1024, (plain, held)
@@ -240,7 +260,7 @@ def test_measured_peak_is_the_childs_own(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_bijection_n7_csv_output_and_peak_memory(tmp_path):
-    returncode, out, err, peak = run_measured(tmp_path, "bijection", "--n", "7", "--format", "csv")
+    returncode, out, err, peak, _ = run_child(tmp_path, "bijection", "--n", "7", "--format", "csv")
     assert (returncode, err) == (0, "")
     digest = hashlib.sha256(out).hexdigest()
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
@@ -255,7 +275,7 @@ def test_bijection_n7_csv_output_and_peak_memory(tmp_path):
     reason="verify --n 7 in a subprocess; set COINV_LONG=1 (about 6 s)",
 )
 def test_verify_n7_output_and_peak_memory(tmp_path):
-    returncode, out, err, peak = run_measured(tmp_path, "verify", "--n", "7")
+    returncode, out, err, peak, _ = run_child(tmp_path, "verify", "--n", "7")
     assert returncode == 0
     # the same 26 ok lines as verify --n 5
     digest = hashlib.sha256(out).hexdigest()
@@ -274,7 +294,7 @@ def test_verify_n7_output_and_peak_memory(tmp_path):
     reason="serial n=4 oracle in a subprocess; set COINV_LONG=1 (about 6 s)",
 )
 def test_oracle_n4_output_and_peak_memory(tmp_path):
-    returncode, out, err, peak = run_measured(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
+    returncode, out, err, peak, _ = run_child(tmp_path, "oracle", "--n", "4", "--variant", "a12", "--long")
     assert returncode == 0 and err == ""
     digest = hashlib.sha256(out).hexdigest()
     assert digest == "b9f60bdeb4add193a47f3c6b80176cab4f307a5f77465b67f1652deaedd4ec82"
@@ -612,12 +632,6 @@ def test_oracle_over_the_cap_exits_2_before_any_piece(capsys, monkeypatch):
     assert err == "graded piece (9, 2, 2) has 71500 monomials, over the cap 50000\n"
 
 
-def limit_address_space():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 @pytest.mark.parametrize("n, degree, size", [
     (5, (9, 2, 2), 71500),
     (40, (0, 0, 4), 91390),
@@ -625,32 +639,24 @@ def limit_address_space():
     (80, (0, 0, 3), 82160),
     (200, (0, 0, 3), 1313400),
 ])
-def test_oracle_refuses_a_large_n_within_1_gib(n, degree, size):
+def test_oracle_refuses_a_large_n_within_1_gib(tmp_path, n, degree, size):
     """The window is checked against the cap as it is listed, so a large n
     exits 2 at its first over-cap piece, before the rest is built; listing
     the whole window first ran out of memory at n = 80."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "oracle", "--n", str(n), "--long"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "graded piece %r has %d monomials, over the cap 50000\n" % (degree, size)
+    code, out, err, _, cpu = run_child(tmp_path, "oracle", "--n", str(n), "--long")
+    assert (code, out) == (2, b"")
+    assert err == "graded piece %r has %d monomials, over the cap 50000\n" % (degree, size)
+    assert cpu < 1
 
 
-def test_oracle_refuses_a_window_of_too_many_pieces_within_1_gib():
+def test_oracle_refuses_a_window_of_too_many_pieces_within_1_gib(tmp_path):
     """At n = 1 every piece has one monomial, so the monomial cap never
     refuses; the window's piece count does, as it is listed.  Listing all
     4 * 10^8 pieces ran out of memory."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "oracle", "--n", "1", "--max-x-degree", "100000000"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "the window of x-degrees 0..100000000 has 400000004 graded pieces, over the cap 100000\n"
-    )
+    code, out, err, _, cpu = run_child(tmp_path, "oracle", "--n", "1", "--max-x-degree", "100000000")
+    assert (code, out) == (2, b"")
+    assert err == "the window of x-degrees 0..100000000 has 400000004 graded pieces, over the cap 100000\n"
+    assert cpu < 1
 
 
 @pytest.mark.parametrize("argv, kind, n, need, cap", [
@@ -660,42 +666,30 @@ def test_oracle_refuses_a_window_of_too_many_pieces_within_1_gib():
     (("--n", "32", "--variant", "b12"), "B", 32, 822, 600),
     (("--n", "31", "--variant", "b11"), "B", 31, 672, 600),
 ])
-def test_hilbert_refuses_a_large_n_within_1_gib(argv, kind, n, need, cap):
+def test_hilbert_refuses_a_large_n_within_1_gib(tmp_path, argv, kind, n, need, cap):
     """The walk's working set is estimated from its packing before it
     starts; a12 n=37 and 38 and b12 n=31 and 32 ran out of memory under
     1 GiB after 45-105 s."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "hilbert", *argv],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
+    code, out, err, _, cpu = run_child(tmp_path, "hilbert", *argv)
+    assert (code, out) == (2, b"")
+    assert err == (
         "the type %s series at n=%d would hold about %d MB of packed values, over the cap of %d MB\n"
         % (kind, n, need, cap)
     )
+    assert cpu < 1
 
 
 @pytest.mark.parametrize("variant, kind, cap", [("a12", "A", 750), ("b12", "B", 600)])
-def test_hilbert_refuses_a_huge_n_at_once(variant, kind, cap):
+def test_hilbert_refuses_a_huge_n_at_once(tmp_path, variant, kind, cap):
     """The walk's bound with one-byte fields needs no n!, so it refuses a
     huge n first; with n! computed first, n = 10^6 took 4.9 s to exit 2."""
-    import resource
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "hilbert", "--n", "10000000", "--variant", variant],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stdout) == (2, "")
+    code, out, err, _, cpu = run_child(tmp_path, "hilbert", "--n", "10000000", "--variant", variant)
+    assert (code, out) == (2, b"")
     assert re.fullmatch(
         r"the type %s series at n=10000000 would hold at least \d+ MB of packed values, over the cap of %d MB\n"
-        % (kind, cap), proc.stderr
-    ), proc.stderr
-    # the child's own CPU time, so a busy machine does not stretch it
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+        % (kind, cap), err
+    ), err
+    assert cpu < 1
 
 
 @pytest.mark.skipif(
@@ -706,14 +700,10 @@ def test_hilbert_refuses_a_huge_n_at_once(variant, kind, cap):
     (("--n", "36"), "6832af5788c3eee7a0afaaea47db54ecbb7b57d1f0994e94c15c1a7b8a49e214"),
     (("--n", "30", "--variant", "b12"), "0be951f0d25ccb28259d3a313d2df094514269a22d90c2f8eadb0f9c13724f6e"),
 ])
-def test_hilbert_below_the_walk_cap_runs_within_1_gib(argv, digest):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "hilbert", *argv],
-        capture_output=True, env=env, timeout=600, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+def test_hilbert_below_the_walk_cap_runs_within_1_gib(tmp_path, argv, digest):
+    code, out, err, _, _ = run_child(tmp_path, "hilbert", *argv, timeout=600)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
@@ -722,22 +712,13 @@ def test_hilbert_below_the_walk_cap_runs_within_1_gib(argv, digest):
     ("hmu", "--n", "13", "--mu", "13"),
     ("hook", "--n", "13"),
 ])
-def test_ascent_table_commands_refuse_n13_within_1_gib(argv):
+def test_ascent_table_commands_refuse_n13_within_1_gib(tmp_path, argv):
     """The table's size is known before its walk, so n = 13 exits 2 at
     once; hmu --n 13 ran out of memory under 1 GiB after 83 s."""
-    import resource
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000\n"
-    # the child's own CPU time, so a busy machine does not stretch it
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    code, out, err, _, cpu = run_child(tmp_path, *argv)
+    assert (code, out) == (2, b"")
+    assert err == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000\n"
+    assert cpu < 1
 
 
 HUGE = "1" + "0" * 20
@@ -752,58 +733,35 @@ DIGITS_901 = "1" + "0" * 900
     (("hmu", "--n", "30000", "--mu", "30000"), "15000000"),
     (("hilbert", "--n", DIGITS_901), "750 MB"),
 ])
-def test_huge_n_is_refused_by_its_cap_at_once(argv, cap):
+def test_huge_n_is_refused_by_its_cap_at_once(tmp_path, argv, cap):
     """A bound that needs no integer of n bits refuses a huge n: 1 << (n - 1)
     overflowed at n = 10^20, and at n = 100000 the slot count, or a
     901-digit n's walk bound, passed Python's int-to-str digit limit, which
     became the printed reason."""
-    import resource
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    line, rest = proc.stderr.split("\n", 1)
+    code, out, err, _, cpu = run_child(tmp_path, *argv)
+    assert (code, out) == (2, b"")
+    line, rest = err.split("\n", 1)
     assert rest == "" and ("n=%s " % argv[2]) in line and line.endswith("over the cap of %s" % cap), line[:200]
-    # the child's own CPU time, so a busy machine does not stretch it
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert cpu < 1
 
 
-def test_bijection_refuses_n8_within_1_gib():
+def test_bijection_refuses_n8_within_1_gib(tmp_path):
     """The table is held whole, so the listing gate checks its row count,
     one per a12 element, against its own cap before it is built: n = 8
     exits 2 at once, where it ran out of memory under 1 GiB after 8.5 s and
     exited 1 with a traceback."""
-    import resource
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "bijection", "--n", "8", "--format", "csv"],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
-    )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "the a12 basis for n=8 has 5160960 elements, over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
-    )
-    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    code, out, err, _, cpu = run_child(tmp_path, "bijection", "--n", "8", "--format", "csv")
+    assert (code, out) == (2, b"")
+    assert err == "the a12 basis for n=8 has 5160960 elements, over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    assert cpu < 1
     assert basis.count_basis(7, "a12") <= cli.BIJECTION_ROWS_CAP < basis.count_basis(8, "a12")
 
 
-def test_bijection_n7_runs_within_1_gib():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", "bijection", "--n", "7", "--format", "csv"],
-        capture_output=True, env=env, timeout=300, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
+def test_bijection_n7_runs_within_1_gib(tmp_path):
+    code, out, err, _, _ = run_child(tmp_path, "bijection", "--n", "7", "--format", "csv", timeout=300)
+    assert (code, err) == (0, "")
     # the header and one row per a12 element
-    assert proc.stdout.count(b"\n") == 1 + basis.count_basis(7, "a12")
+    assert out.count(b"\n") == 1 + basis.count_basis(7, "a12")
 
 
 @pytest.mark.skipif(
@@ -816,16 +774,12 @@ def test_bijection_n7_runs_within_1_gib():
     (("hmu", "--n", "12", "--mu", "12"), "54a98a597614db701bbaa06ae13cc4554394d03c4fb5d77d7590b850348606e8"),
     (("hook", "--n", "12"), "b6977ee16e43cd5760943b5176149a869614b98ab6bca2f76324ff9208957a04"),
 ])
-def test_ascent_table_below_the_cap_runs_within_1_gib(argv, digest):
+def test_ascent_table_below_the_cap_runs_within_1_gib(tmp_path, argv, digest):
     # frobenius --n 12 ran out of memory under 1 GiB while the series held
     # a second copy of the table
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coinv.cli", *argv],
-        capture_output=True, env=env, timeout=600, preexec_fn=limit_address_space,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    code, out, err, _, _ = run_child(tmp_path, *argv, timeout=600)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 @pytest.mark.skipif(
@@ -833,7 +787,7 @@ def test_ascent_table_below_the_cap_runs_within_1_gib(argv, digest):
     reason="frobenius --n 11 in a subprocess; set COINV_LONG=1 (about 10 s)",
 )
 def test_frobenius_n11_output_and_peak_memory(tmp_path):
-    returncode, out, err, peak = run_measured(tmp_path, "frobenius", "--n", "11", "--form", "schur")
+    returncode, out, err, peak, _ = run_child(tmp_path, "frobenius", "--n", "11", "--form", "schur")
     assert (returncode, err) == (0, "")
     assert hashlib.sha256(out).hexdigest() == "ea33020765674ef4c73777bece0232bd2acc9d87e6cefb9690ae4b9fbbd7f171"
     # the peak is in kB; the run took about 410 MB while the series copied

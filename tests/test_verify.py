@@ -19,26 +19,26 @@ def test_checks_run_in_order_at_their_limits():
     assert [(name, limit) for name, _, limit in verify.CHECKS] == [
         ("q-pascal", 12),
         ("q-chu-vandermonde", 10),
-        ("eval-at-one", 6),
+        ("eval-at-one", 8),
         ("set-comp-inverse", 10),
         ("path-counts", 8),
         ("cardinality-a", 8),
-        ("cardinality-b", 6),
+        ("cardinality-b", 8),
         ("specializations", 8),
-        ("hilbert-stirling-a", 7),
-        ("hilbert-stirling-b", 5),
-        ("hilbert-dimension", 7),
-        ("count-by-height", 7),
-        ("count-type-b-refined", 5),
+        ("hilbert-stirling-a", 12),
+        ("hilbert-stirling-b", 10),
+        ("hilbert-dimension", 8),
+        ("count-by-height", 8),
+        ("count-type-b-refined", 8),
         ("bijection-suite", 7),
         ("sw-recursion", 7),
         ("frobenius-routes", 6),
-        ("symmetry-witness", 5),
-        ("h-mu-dual", 5),
-        ("hook-identities", 7),
+        ("symmetry-witness", 6),
+        ("h-mu-dual", 6),
+        ("hook-identities", 8),
         ("hook-h-dual", 8),
         ("hook-characterization", 7),
-        ("frobenius-specializations", 6),
+        ("frobenius-specializations", 7),
         ("slinky", 8),
         ("oracle-type-a", 3),
         ("oracle-type-b", 2),

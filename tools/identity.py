@@ -6,9 +6,10 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.  Every
 invocation of MATRIX runs once with each directory on PYTHONPATH, the two
 side by side; their stdout, stderr and exit codes are compared.  Each
 invocation that differs is printed with what differs.  The exit code is 1
-when any invocation differs, else 0.  The whole matrix took 51 s on a
-2-core machine, about 6 s each for `verify --n 12` and the oracle's long
-n = 4 run.
+when any invocation differs, else 0.  The matrix holds refusals from
+every cap and every input check, so the two trees are compared on their
+messages too.  The whole matrix of 298 invocations took 48 s on a 2-core
+machine, about 7 s each for `verify --n 12` and the oracle's long n = 4 run.
 """
 
 import hashlib
@@ -79,6 +80,27 @@ MATRIX = _frobenius() + _basis() + _hilbert() + _tables() + [
     ("oracle", "--n", "3", "--variant", "b12"),
     ("oracle", "--n", "2", "--variant", "b12", "--format", "json"),
     ("oracle", "--n", "4", "--variant", "a12", "--long"),
+    # refused: a long run without --long, a piece or a window over its cap,
+    # and a negative window
+    ("oracle", "--n", "4"),
+    ("oracle", "--n", "5", "--variant", "a12", "--long"),
+    ("oracle", "--n", "200", "--long"),
+    ("oracle", "--n", "1", "--max-x-degree", "100000000"),
+    ("oracle", "--n", "2", "--max-x-degree", "-1"),
+    # refused: the series walk over its memory cap
+    ("hilbert", "--n", "38"),
+    ("hilbert", "--n", "31", "--variant", "b11"),
+    ("hilbert", "--n", "10000000", "--variant", "b12"),
+    # refused: the ascent table over its cap
+    ("frobenius", "--n", "13"),
+    ("hmu", "--n", "13", "--mu", "13"),
+    ("hook", "--n", "13"),
+    ("hook", "--n", "1" + "0" * 20),
+    # refused: invalid input
+    ("hmu", "--n", "3", "--mu", "2,2"),
+    ("hmu", "--n", "3", "--mu", "x"),
+    ("hook", "--n", "3", "--d", "5"),
+    ("verify", "--n", "0"),
 ]
 
 
