@@ -12,7 +12,7 @@ import io
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 # Every command uses basis; the other layers are imported by the commands
 # that run them, so a command does not compile and load code it never
@@ -27,17 +27,21 @@ EXIT_CLOSED_PIPE = 141
 
 # Largest basis that `basis` lists element by element.
 # `basis` streams, so the cap bounds its time and output, not its memory:
-# a12 n=8 (5,160,960 elements) as json runs in 75 s at 21 MB under a 1 GiB
-# address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
+# a12 n=8 (5,160,960 elements) as json runs in 45 to 51 s at 20 MB under a
+# 1 GiB address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
 MAX_ENUMERATED = 10_000_000
 
-# Largest bijection table, in rows, one per a12 element; the same gate as
-# `basis` applies it.  The rows are held whole, to be sorted, before they
-# are printed.  n=7 (322,560 rows) peaks at about 95 MB in csv, json and
-# text, about 16 MB for the interpreter and 260 bytes a row, so n=8
-# (5,160,960 rows, about 1.4 GB at that rate) would not fit in a 1 GiB
-# address space.  The cap keeps an estimate of about 560 MB.
+# Largest table, in entries, that `bijection` holds; the same gate as
+# `basis` applies it.  The rows of size n grow from the table of size n-1,
+# one entry per a12 element of size n-1, held whole and bucketed by bar
+# mask, one group of n! rows at a time.  So the gate counts the table of
+# size n-1: n=8 holds 322,560 entries and peaks at about 160 MB in csv,
+# json and text, about 16 MB for the interpreter and 440 bytes an entry;
+# n=9 would hold 5,160,960, about 2.3 GB at that rate, and is refused
+# before anything is built.
 BIJECTION_ROWS_CAP = 2_000_000
+
+BIJECTION_HEADER = ("sigma", "basis_element", "k", "l", "sminv", "split")
 
 # Items per json.dumps call, or rows per write, when a table or a basis is
 # printed as json or csv.
@@ -52,9 +56,10 @@ def _check_kl(args):
         raise ValueError("--k and --l need 0 <= k, 0 <= l and k + l < n=%d" % args.n)
 
 
-def _check_enumerable(n, variant, cap):
-    """Refuse a listing of more than `cap` basis elements, before any of it
-    is built.
+def _check_enumerable(n, variant, cap, subject):
+    """Refuse a command that holds or lists more than `cap` basis elements
+    of size n, before any of them is built; subject(m) names, in the
+    reason, what holds the basis of size m.
 
     Every basis grows with n, so the counts are taken for n = 1, 2, ... and
     the first one over the cap refuses every larger n without computing its
@@ -64,8 +69,8 @@ def _check_enumerable(n, variant, cap):
         count = basis.count_basis(m, variant)
         if count > cap:
             raise ValueError(
-                "the %s basis for n=%d has %d elements%s, over the listing cap of %d"
-                % (variant, m, count, "" if m == n else " (and it grows with n)", cap)
+                "%s has %d elements%s, over the listing cap of %d"
+                % (subject(m), count, "" if m == n else " (and it grows with n)", cap)
             )
 
 
@@ -91,8 +96,10 @@ def _print_json_list(items, to_json):
 def _print_rows(rows, header, fmt):
     """Emit a table as csv, json or aligned text.
 
-    csv and json take any iterable of rows and write them as they come;
-    text aligns its columns, so it needs a sequence.
+    csv and json take any iterable of rows and write them as they come.
+    Text measures each column's width over the rows first, so it needs a
+    sequence; a table whose widths are known before its first row goes to
+    _print_text as an iterable.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -110,15 +117,20 @@ def _print_rows(rows, header, fmt):
     elif fmt == "json":
         _print_json_list(rows, lambda row: dict(zip(header, row)))
     else:
-        widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
-                  for i, h in enumerate(header)]
-        print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-        for row in rows:
-            print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
+        _print_text(rows, header, [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
+                                   for i, h in enumerate(header)])
+
+
+def _print_text(rows, header, widths):
+    """Emit the header and the rows as text, each column left-aligned to
+    its width and each line without trailing spaces."""
+    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
+    for row in rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def cmd_basis(args):
-    _check_enumerable(args.n, args.variant, MAX_ENUMERATED)
+    _check_enumerable(args.n, args.variant, MAX_ENUMERATED, lambda m: "the %s basis for n=%d" % (args.variant, m))
     elements = basis.iter_basis(args.n, args.variant)
     if args.format == "json":
         _print_json_list(elements, basis.BasisElement.to_json)
@@ -166,38 +178,47 @@ def cmd_frobenius(args):
 
 
 def bijection_rows(n):
-    """The conversion table, grouped by bar pattern (bitmask order) and
-    ordered by the underlying permutation within each group.
+    """The conversion table as an iterator of rows, grouped by bar pattern
+    (bitmask order) and ordered by the underlying permutation within each
+    group.
 
-    Each entry of psi_table becomes its output row at once, in the group
-    of its bar mask, and each group is sorted by sigma.  Inside one group
-    every sigma has its bars and spaces in the same places, so while every
-    letter is one digit (n <= 9) sigma's string order is the letters'
-    order.
+    smirnov.psi_groups grows each bar mask's group from the table of size
+    n-1 and sorts it by sigma, so the table of size n is never whole.
+    Inside one group every sigma has its bars and spaces in the same
+    places, so while every letter is one digit (n <= 9) sigma's string
+    order is the letters' order.  n is checked here, before any of the
+    table is built.
     """
     from . import smirnov
 
     if not 1 <= n <= 9:
         raise ValueError("the bijection table sorts sigma as a string, so needs 1 <= n <= 9, not n=%d" % n)
-    groups = [[] for _ in range(1 << (n - 1))]
-    split_labels = {}  # split tuple -> "{...}", one entry per subset of 1..n-1
-    for mask, _, sigma, monomial, k, l, inv, split in smirnov.psi_table(n):
-        label = split_labels.get(split)
-        if label is None:
-            label = split_labels[split] = "{%s}" % ",".join(map(str, split))
-        groups[mask].append((sigma, monomial, k, l, inv, label))
-    rows = []
-    for group in groups:
-        group.sort()
-        rows += group
-        group.clear()
-    return rows
+    return chain.from_iterable(smirnov.psi_groups(n))
+
+
+def bijection_widths(n):
+    """The text table's column widths at 1 <= n <= 9, fixed before its
+    first row: each is its header's length or its longest cell's.
+
+    Every letter is one digit, so each sigma has 2n - 1 characters, as has
+    the largest split set, {1,...,n-1} of the word n|n-1|...|1.  k and l
+    are at most 8, one digit, and sminv is at most n(n-1)/2 <= 36, two.
+    The longest monomial comes from the bar masks alone.
+    """
+    from . import smirnov
+
+    longest = (2 * n - 1, smirnov.longest_monomial(n), 1, 1, 2, 2 * n - 1)
+    return tuple(max(len(h), w) for h, w in zip(BIJECTION_HEADER, longest))
 
 
 def cmd_bijection(args):
-    _check_enumerable(args.n, "a12", BIJECTION_ROWS_CAP)
+    _check_enumerable(args.n - 1, "a12", BIJECTION_ROWS_CAP,
+                      lambda m: "the bijection table for n=%d holds the table for n=%d, whose a12 basis" % (m + 1, m))
     rows = bijection_rows(args.n)
-    _print_rows(rows, ("sigma", "basis_element", "k", "l", "sminv", "split"), args.format)
+    if args.format == "text":
+        _print_text(rows, BIJECTION_HEADER, bijection_widths(args.n))
+    else:
+        _print_rows(rows, BIJECTION_HEADER, args.format)
     return 0
 
 

@@ -9,6 +9,7 @@ the xi-degree and the sminversion count to the x-degree.
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .basis import BasisElement
@@ -377,6 +378,116 @@ def psi_inverse(word):
 # match on: every x factor comes before them.
 _FERMION_FACTORS = re.compile(r"\*(?:th|xi)")
 
+# grows[thick][lands_left]: whether the split set gains n-1, from n-1's
+# thick flag and whether n lands left of n-1.  n is thick after up and xi
+# steps, and then n-1 splits when it is thick and n lands left of it; n is
+# thin after theta and down steps, and then n-1 splits when it is thick or
+# n lands right of it.
+_N_THICK = ((0, 0), (0, 1))
+_N_THIN = ((1, 0), (1, 1))
+
+
+class _Insertion(NamedTuple):
+    """One way psi inserts its last letter n into the entries of size n-1
+    with one bar mask: one step with one alpha_n = a.
+
+    The child's bar mask is `mask`, and n goes in at index `at` of the
+    letters.  sigma is cut at cut = bars[bar] and glued back as
+    sigma[:cut + lo] + text + sigma[cut + hi:].  The monomial gains
+    x_factor after its x factors and `fermions` at the end.  k, l and sminv
+    grow by dk, dl and a.  The split set gains n-1 when
+    grows[thick][r < left] is 1, with thick n-1's thick flag and r the
+    number of blocks right of n-1's block: n lands left of n-1 exactly
+    when r < left.
+    """
+
+    mask: int
+    at: int
+    a: int
+    bar: int
+    lo: int
+    hi: int
+    text: str
+    x_factor: str
+    fermions: str
+    dk: int
+    dl: int
+    left: int
+    grows: tuple
+
+
+def _insertions(mask, n):
+    """Every insertion of n into the entries of size n-1 with bar mask
+    `mask`, in psi_table's order.
+
+    Each step takes each alpha_n = a in 0..h'-1, h' the block count after
+    the step, so that a blocks lie right of n's block.  An up step opens a
+    new block, a theta step appends n to a block, a xi step prepends it,
+    and a down step merges two neighbouring blocks around it (so needs at
+    least two).
+    """
+    m = n - 1
+    s = str(n)
+    # starts[b]: the letters before block b, for the h blocks and b = h
+    starts = [0] + [i + 1 for i in range(m - 1) if mask >> i & 1] + [m]
+    h = len(starts) - 1
+    x_factor = ["", "*x" + s] + ["*x%d^%d" % (n, a) for a in range(2, h + 1)]
+    th, xi = "*th" + s, "*xi" + s
+    # up: n alone in front of the word
+    out = [_Insertion((mask << 1) | 1, 0, h, 0, 1, 1, s + "|", x_factor[h], "", 0, 0, h, _N_THICK)]
+    for a in range(h):
+        b = h - 1 - a  # the block with a blocks right of it
+        # n after block b: alone in a new block (up) or last in b (theta);
+        # the bars from position `end` on move one right
+        end = starts[b + 1]
+        moved = (mask & ((1 << (end - 1)) - 1)) | (mask >> (end - 1) << end)
+        out.append(_Insertion(moved | (1 << (end - 1)), end, a, b + 1, 0, 0, "|" + s, x_factor[a], "",
+                              0, 0, a, _N_THICK))
+        out.append(_Insertion(moved, end, a, b + 1, 0, 0, " " + s, x_factor[a], th, 1, 0, a, _N_THIN))
+        # n before block b: first in b (xi) or, for b > 0, in place of the
+        # bar in front of b (down); the bars after `begin` move one right
+        begin = starts[b]
+        low, high = mask & ((1 << begin) - 1), mask >> begin << (begin + 1)
+        out.append(_Insertion(low | high, begin, a, b, 1, 1, s + " ", x_factor[a], xi, 0, 1, a + 1, _N_THICK))
+        if b:
+            out.append(_Insertion((low ^ (1 << (begin - 1))) | high, begin, a, b, 0, 1, " " + s + " ",
+                                  x_factor[a], th + xi, 1, 1, a + 1, _N_THIN))
+    return out
+
+
+def _parent(entry, splits):
+    """What every insertion reads from one psi_table entry of size m:
+    (sigma, bars, xs, fs, k, l, sminv, r, thick, splits).
+
+    bars[b] is the index in sigma of the bar in front of block b, -1 for
+    block 0 and len(sigma) for b = h.  xs and fs are the monomial's x and
+    fermion factors, each factor with a leading "*", so that joining is
+    concatenation.  r blocks lie right of m's block, and thick is 1 when m
+    starts its block, as the largest letter ends no fall.  splits is the
+    pair (split set, split set with m) in the form the children carry.
+    """
+    mask, letters, sigma, monomial, k, l, inv, _ = entry
+    bars = [-1]
+    for label in sigma.split("|"):
+        bars.append(bars[-1] + len(label) + 1)
+    at = letters.index(len(letters))
+    thick = 1 if at == 0 else (mask >> (at - 1)) & 1
+    starred = "*" + monomial if monomial != "1" else ""
+    cut = _FERMION_FACTORS.search(starred)
+    cut = cut.start() if cut else len(starred)
+    return sigma, tuple(bars), starred[:cut], starred[cut:], k, l, inv, (mask >> at).bit_count(), thick, splits
+
+
+def _grow(parents, insertion):
+    """The children of `parents`, all of one bar mask, under one insertion,
+    each as (sigma, monomial, k, l, sminv, split)."""
+    _, _, a, bar, lo, hi, text, x_factor, fermions, dk, dl, left, grows = insertion
+    return [
+        (sigma[:bars[bar] + lo] + text + sigma[bars[bar] + hi:], (xs + x_factor + fs + fermions)[1:] or "1",
+         k + dk, l + dl, inv + a, splits[grows[thick][r < left]])
+        for sigma, bars, xs, fs, k, l, inv, r, thick, splits in parents
+    ]
+
 
 def psi_table(n):
     """The bijection table of size n, one entry per a12 element, unsorted.
@@ -388,11 +499,7 @@ def psi_table(n):
     statistics.
 
     The entries of size n grow from those of size n-1 as psi inserts its
-    last letter n: each entry gives one child for each step and each
-    alpha_n = a in 0..h-1, h the block count after the step, so that a
-    blocks lie right of n's block.  An up step opens a new block, a theta
-    step appends n to a block, a xi step prepends it, and a down step
-    merges two neighbouring blocks around it (so needs at least two).  A
+    last letter n, one child for each of the parent's `_insertions`.  A
     child's letters, sigma and mask are its parent's with n put in at one
     place, and its monomial is its parent's with x_n^a after the x factors
     and the step's fermion factors at the end.  The recursion holds one
@@ -419,59 +526,68 @@ def psi_table(n):
     if n == 1:
         yield 0, (1,), "1", "1", 0, 0, 0, ()
         return
-    m = n - 1
-    s = str(n)
     new = (n,)
-    x_factor = ["", "*x" + s] + ["*x%d^%d" % (n, a) for a in range(2, n)]
-    th, xi, down = "*th" + s, "*xi" + s, "*th%s*xi%s" % (s, s)
-    for mask, letters, sigma, monomial, k, l, inv, split in psi_table(m):
-        # starts[b]: the letters before block b; bars[b]: the index in
-        # sigma of the bar in front of block b, -1 for block 0 and
-        # len(sigma) for b = h
-        starts, bars = [0], [-1]
-        for label in sigma.split("|"):
-            starts.append(starts[-1] + label.count(" ") + 1)
-            bars.append(bars[-1] + len(label) + 1)
-        h = len(starts) - 1
-        # r blocks lie right of m's block; m is thick when it starts its
-        # block, as the largest letter ends no fall
-        at = letters.index(m)
-        r = (mask >> at).bit_count()
-        thick = at == 0 or (mask >> (at - 1)) & 1
-        # factors with a leading "*", so that joining is concatenation
-        starred = "*" + monomial if monomial != "1" else ""
-        cut = _FERMION_FACTORS.search(starred)
-        cut = cut.start() if cut else len(starred)
-        xs, fs = starred[:cut], starred[cut:]
-        th_fs, xi_fs, down_fs = fs + th, fs + xi, fs + down
-        # m splits when it is thick and n, thick, lands left of it, or
-        # when n is thin and m is thick or has n on its right
-        grown = split + (m,)
-        # up: n alone in front of the word
-        yield ((mask << 1) | 1, new + letters, s + "|" + sigma, (xs + x_factor[h] + fs)[1:],
-               k, l, inv + h, grown if thick and h > r else split)
-        for a in range(h):
-            b = h - 1 - a  # the block with a blocks right of it
-            cx = xs + x_factor[a]
-            # n after block b: alone in a new block (up) or last in b
-            # (theta); the bars from position `end` on move one right
-            end, bar = starts[b + 1], bars[b + 1]
-            with_n = letters[:end] + new + letters[end:]
-            head, rest = sigma[:bar], sigma[bar:]
-            moved = (mask & ((1 << (end - 1)) - 1)) | (mask >> (end - 1) << end)
-            yield (moved | (1 << (end - 1)), with_n, head + "|" + s + rest, (cx + fs)[1:] or "1",
-                   k, l, inv + a, grown if thick and a > r else split)
-            yield (moved, with_n, head + " " + s + rest, (cx + th_fs)[1:],
-                   k + 1, l, inv + a, grown if thick or a <= r else split)
-            # n before block b: first in b (xi) or, for b > 0, in place of
-            # the bar in front of b (down); the bars after `begin` move
-            # one right
-            begin, bar = starts[b], bars[b]
-            with_n = letters[:begin] + new + letters[begin:]
-            rest = sigma[bar + 1:]
-            low, high = mask & ((1 << begin) - 1), mask >> begin << (begin + 1)
-            yield (low | high, with_n, sigma[:bar + 1] + s + " " + rest, (cx + xi_fs)[1:],
-                   k, l + 1, inv + a, grown if thick and a >= r else split)
-            if b:
-                yield ((low ^ (1 << (begin - 1))) | high, with_n, sigma[:bar] + " " + s + " " + rest,
-                       (cx + down_fs)[1:], k + 1, l + 1, inv + a, grown if thick or a < r else split)
+    insertions = {}  # parent bar mask -> its insertions
+    for entry in psi_table(n - 1):
+        mask, letters, split = entry[0], entry[1], entry[7]
+        parent = [_parent(entry, (split, split + (n - 1,)))]
+        if mask not in insertions:
+            insertions[mask] = _insertions(mask, n)
+        for insertion in insertions[mask]:
+            (child,) = _grow(parent, insertion)
+            yield (insertion.mask, letters[:insertion.at] + new + letters[insertion.at:]) + child
+
+
+def psi_groups(n):
+    """The bijection table of size n, one bar mask's group at a time.
+
+    Yields, for each bar mask in ascending order, the list of its n! rows
+    (sigma, monomial, k, l, sminv, split) sorted by sigma, with split
+    written as "{1,3}".  Only the table of size n-1 is held, bucketed by
+    bar mask, each entry with what its insertions read and its two split
+    labels worked out once.  Each insertion of one parent mask lands on
+    one child mask, so a group is grown from the parent groups whose
+    insertions land on it, sorted, yielded and dropped.
+    """
+    if n == 1:
+        yield [("1", "1", 0, 0, 0, "{}")]
+        return
+    m = n - 1
+    labels = {}  # split set -> its labels without and with m
+    parents = [[] for _ in range(1 << (m - 1))]
+    for entry in psi_table(m):
+        split = entry[7]
+        pair = labels.get(split)
+        if pair is None:
+            pair = labels[split] = tuple("{%s}" % ",".join(map(str, s)) for s in (split, split + (m,)))
+        parents[entry[0]].append(_parent(entry, pair))
+    sources = [[] for _ in range(1 << m)]  # child mask -> (parent group, insertion)
+    for mask, group in enumerate(parents):
+        for insertion in _insertions(mask, n):
+            sources[insertion.mask].append((group, insertion))
+    for found in sources:
+        rows = []
+        for group, insertion in found:
+            rows += _grow(group, insertion)
+        # sigmas are unique, so comparing them alone orders the rows
+        rows.sort(key=itemgetter(0))
+        yield rows
+
+
+def longest_monomial(n):
+    """The length of the longest monomial in psi_table(n), from the bar
+    masks alone.
+
+    Every entry of one bar mask takes the same insertions, and each
+    insertion puts the same factors into every monomial it grows, so the
+    longest monomial of each mask grows from the longest of a parent mask.
+    """
+    longest = [0]  # by bar mask: the longest starred monomial ("" for "1")
+    for size in range(2, n + 1):
+        grown = [0] * (1 << (size - 1))
+        for mask, length in enumerate(longest):
+            for insertion in _insertions(mask, size):
+                child = length + len(insertion.x_factor) + len(insertion.fermions)
+                grown[insertion.mask] = max(grown[insertion.mask], child)
+        longest = grown
+    return max(max(longest) - 1, 1)

@@ -49,7 +49,7 @@ def test_criterion_04_bijection_suite():
 
 def test_criterion_05_bijection_tables():
     for n, expected in BIJECTION_TABLES.items():
-        assert bijection_rows(n) == expected, n
+        assert list(bijection_rows(n)) == expected, n
     report("PASS 5: the n = 1, 2, 3 conversion tables are reproduced exactly")
 
 

@@ -111,7 +111,30 @@ def whole_sort_rows(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_grouped_rows_match_the_whole_sort(n):
     # each bar mask's group is sorted by sigma, not by letters
-    assert cli.bijection_rows(n) == whole_sort_rows(n)
+    assert list(cli.bijection_rows(n)) == whole_sort_rows(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_text_widths_fixed_before_the_first_row_are_the_widest_cells(n):
+    rows = list(cli.bijection_rows(n))
+    measured = tuple(max(len(str(h)), max(len(str(r[i])) for r in rows)) for i, h in enumerate(BIJECTION_HEADER))
+    assert cli.bijection_widths(n) == measured
+
+
+def test_the_first_rows_of_n8_build_no_table_larger_than_n7(monkeypatch):
+    """The rows of size 8 grow one bar mask's group at a time from the
+    table of size 7; no call builds the table of size 8."""
+    sizes = []
+    walk = smirnov.psi_table
+
+    def recorded(n):
+        sizes.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(smirnov, "psi_table", recorded)
+    first = next(iter(cli.bijection_rows(8)))
+    assert first[0] == "1 2 3 4 5 6 7 8"
+    assert max(sizes) == 7
 
 
 def test_bijection_rows_refuse_n_outside_1_to_9(monkeypatch):
@@ -196,6 +219,17 @@ def test_bijection_n7_csv_is_pinned(capsys):
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    pytest.param("json", "dea043ead55a3aba2003b08f3f3b306257518f115df3305f863e2914032278e5", id="json"),
+    pytest.param("text", "1fdbddaf9f51e057a96a03473bb25271ccc8e6750515c4f0f151e809ae02d4e5", id="text"),
+])
+def test_bijection_n7_json_and_text_are_pinned(capsys, fmt, digest):
+    # the output of the build that held every row of size 7 to sort it
+    code, out, err = run_cli(capsys, "bijection", "--n", "7", "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Runs coinv as `python -m coinv.cli` does, and at exit writes the process's
 # own peak resident set (VmHWM, in kB) to the file named by its first
 # argument, or nothing where there is no /proc/self/status.  The child's
@@ -223,12 +257,13 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_child(tmp_path, *argv, timeout=120):
+def spawn_child(tmp_path, *argv, timeout=120):
     """Run `coinv argv` in a child process under a 1 GiB address space.
 
-    Returns its exit code, stdout bytes, stderr text, its own peak resident
-    set in kB (None without /proc/self/status) and its own CPU seconds, which
-    a busy machine does not stretch as it does wall time."""
+    Returns its exit code, the path of the file that holds its stdout, its
+    stderr text, its own peak resident set in kB (None without
+    /proc/self/status) and its own CPU seconds, which a busy machine does
+    not stretch as it does wall time."""
     import resource
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -243,7 +278,13 @@ def run_child(tmp_path, *argv, timeout=120):
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     peak = int(peak_path.read_text()) if peak_path.exists() else None
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    return proc.returncode, out_path.read_bytes(), err_path.read_text(), peak, cpu
+    return proc.returncode, out_path, err_path.read_text(), peak, cpu
+
+
+def run_child(tmp_path, *argv, timeout=120):
+    """spawn_child, with the child's stdout read back as bytes."""
+    code, out_path, err, peak, cpu = spawn_child(tmp_path, *argv, timeout=timeout)
+    return code, out_path.read_bytes(), err, peak, cpu
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -264,10 +305,10 @@ def test_bijection_n7_csv_output_and_peak_memory(tmp_path):
     assert (returncode, err) == (0, "")
     digest = hashlib.sha256(out).hexdigest()
     assert digest == "67679de4f35e2fc69262e29e437cb8927fdecea364215c288b71ffec01fd1ab1"
-    # the peak is in kB; the run takes about 95 MB with each row put in its
-    # bar mask's group as psi_table yields it, and took about 130 MB when
-    # psi_table's whole entries were sorted before they became rows
-    assert peak < 110 * 1024, peak
+    # the peak is in kB; the run takes about 26 MB with the table of size 6
+    # held and one bar mask's group of 5040 rows grown at a time, and took
+    # about 95 MB while every row of size 7 was held to be sorted
+    assert peak < 40 * 1024, peak
 
 
 @pytest.mark.skipif(
@@ -745,14 +786,17 @@ def test_huge_n_is_refused_by_its_cap_at_once(tmp_path, argv, cap):
     assert cpu < 1
 
 
-def test_bijection_refuses_n8_within_1_gib(tmp_path):
-    """The table is held whole, so the listing gate checks its row count,
-    one per a12 element, against its own cap before it is built: n = 8
-    exits 2 at once, where it ran out of memory under 1 GiB after 8.5 s and
-    exited 1 with a traceback."""
-    code, out, err, _, cpu = run_child(tmp_path, "bijection", "--n", "8", "--format", "csv")
+def test_bijection_refuses_n9_within_1_gib(tmp_path):
+    """The rows of size n grow from the table of size n-1, held whole, so
+    the listing gate checks that table, one entry per a12 element of size
+    n-1, against its own cap before it is built: n = 9 exits 2 at once,
+    and n = 8 runs."""
+    code, out, err, _, cpu = run_child(tmp_path, "bijection", "--n", "9", "--format", "csv")
     assert (code, out) == (2, b"")
-    assert err == "the a12 basis for n=8 has 5160960 elements, over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    assert err == (
+        "the bijection table for n=9 holds the table for n=8, whose a12 basis has 5160960 elements, "
+        "over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
+    )
     assert cpu < 1
     assert basis.count_basis(7, "a12") <= cli.BIJECTION_ROWS_CAP < basis.count_basis(8, "a12")
 
@@ -762,6 +806,65 @@ def test_bijection_n7_runs_within_1_gib(tmp_path):
     assert (code, err) == (0, "")
     # the header and one row per a12 element
     assert out.count(b"\n") == 1 + basis.count_basis(7, "a12")
+
+
+def check_n8_csv_rows(lines):
+    """Check the rows of `bijection --n 8 --format csv`: every bar mask's
+    group holds 8! rows, the groups come in mask order, each sorted by
+    sigma, and a seeded sample of 2,000 rows goes through psi_inverse and
+    psi back to its own monomial and statistics.  Returns the row count."""
+    import random
+
+    sample = set(random.Random(2024).sample(range(basis.count_basis(8, "a12")), 2000))
+    count, checked = 0, 0
+    group, bars, last = -1, None, None
+    for count, row in enumerate(csv.reader(lines)):
+        sigma, monomial, k, l, inv, split = row
+        if sigma[1::2] != bars:  # the separators, one between each two letters
+            bars = sigma[1::2]
+            mask = sum(1 << i for i, c in enumerate(bars) if c == "|")
+            assert mask == group + 1 and count == 40320 * mask, (count, sigma)
+            group = mask
+        else:
+            assert last < sigma, (count, sigma)
+        last = sigma
+        if count in sample:
+            element = smirnov.psi_inverse(smirnov.parse_word(sigma))
+            assert element.monomial_str() == monomial, sigma
+            word = smirnov.psi(element)
+            assert smirnov.format_word(word) == sigma
+            stats = smirnov.word_statistics(word)
+            assert stats[:3] == (int(k), int(l), int(inv)), sigma
+            assert "{%s}" % ",".join(map(str, stats[3])) == split, sigma
+            checked += 1
+    assert checked == 2000 and group == 127
+    return count + 1
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="bijection --n 8 in subprocesses; set COINV_LONG=1 (about 2 minutes)",
+)
+@pytest.mark.parametrize("fmt, lines", [
+    pytest.param("csv", 1 + 5160960, id="csv"),
+    pytest.param("json", 2 + 8 * 5160960, id="json"),
+    pytest.param("text", 1 + 5160960, id="text"),
+])
+def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines):
+    """The table of size 7 is held and the rows of size 8 are grown one bar
+    mask's group at a time; the run used to be refused, as it would hold
+    about 1.4 GB of rows."""
+    code, out_path, err, _, _ = spawn_child(tmp_path, "bijection", "--n", "8", "--format", fmt, timeout=600)
+    try:
+        assert (code, err) == (0, "")
+        with open(out_path, newline="") as out:
+            if fmt == "csv":
+                assert next(out) == ",".join(BIJECTION_HEADER) + "\n"
+                assert 1 + check_n8_csv_rows(out) == lines
+            else:
+                assert sum(1 for _ in out) == lines
+    finally:
+        out_path.unlink()
 
 
 @pytest.mark.skipif(
@@ -848,7 +951,8 @@ def test_bijection_refuses_a_large_n_at_the_first_n_over_its_cap(capsys, monkeyp
     code, out, err = run_cli(capsys, "bijection", "--n", "40")
     assert (code, out) == (2, "")
     assert err == (
-        "the a12 basis for n=8 has 5160960 elements (and it grows with n), over the listing cap of 2000000\n"
+        "the bijection table for n=9 holds the table for n=8, whose a12 basis has 5160960 elements "
+        "(and it grows with n), over the listing cap of 2000000\n"
     )
 
 
