@@ -74,23 +74,57 @@ def _check_enumerable(n, variant, cap, subject):
             )
 
 
+def _print_json_slices(texts):
+    """Write a json list as json.dumps(..., indent=2) would, from texts that
+    each hold one or more of its items as they sit in the list, joined by
+    ",\n"; neither the list nor the document is ever whole."""
+    lead = "[\n"
+    for text in texts:
+        sys.stdout.write(lead + text)
+        lead = ",\n"
+    sys.stdout.write("[]\n" if lead == "[\n" else "\n]\n")
+
+
+def _slices(items):
+    """The items of any iterable, in lists of up to JSON_SLICE."""
+    items = iter(items)
+    while part := list(islice(items, JSON_SLICE)):
+        yield part
+
+
 def _print_json_list(items, to_json):
     """Print [to_json(item) for item in items] as json.dumps(..., indent=2) would.
 
-    items may be any iterable.  It is converted and dumped in slices, so
-    neither the list nor the document is ever whole: each slice is dumped
-    as a list and its brackets cut off.
+    Each slice of items is dumped as a list and its brackets cut off.
     """
     encode = json.JSONEncoder(indent=2).encode
-    items = iter(items)
-    lead = "[\n"
-    while True:
-        part = [to_json(item) for item in islice(items, JSON_SLICE)]
-        if not part:
-            break
-        sys.stdout.write(lead + encode(part)[2:-2])
-        lead = ",\n"
-    sys.stdout.write("[]\n" if lead == "[\n" else "\n]\n")
+    _print_json_slices(encode([to_json(item) for item in part])[2:-2] for part in _slices(items))
+
+
+# Each cell type a table holds, as json.dumps writes it.
+_JSON_CELL = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda cell: "null",
+}
+
+
+def _print_json_rows(rows, header):
+    """Print [dict(zip(header, row)) for row in rows] as _print_json_list
+    would, for rows of str, int, bool and None cells, each as long as the
+    first: the keys are encoded once, into one %-template of an object,
+    which each row fills with its encoded cells."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        rows = chain([first], rows)
+        template = "  {\n%s\n  }" % ",\n".join(
+            "    %s: %%s" % json.encoder.encode_basestring_ascii(key).replace("%", "%%")
+            for key, _ in zip(header, first)
+        )
+    _print_json_slices(",\n".join(template % tuple([_JSON_CELL[type(c)](c) for c in row]) for row in part)
+                       for part in _slices(rows))
 
 
 def _print_rows(rows, header, fmt):
@@ -115,7 +149,7 @@ def _print_rows(rows, header, fmt):
             buf.seek(0)
             buf.truncate()
     elif fmt == "json":
-        _print_json_list(rows, lambda row: dict(zip(header, row)))
+        _print_json_rows(rows, header)
     else:
         _print_text(rows, header, [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
                                    for i, h in enumerate(header)])

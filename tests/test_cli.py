@@ -161,6 +161,15 @@ def test_json_rows_match_one_dumps_of_the_whole_table(capsys, rows):
     assert first_difference(capsys.readouterr().out, expected) is None
 
 
+def test_json_rows_escape_keys_and_cells_as_dumps_does(capsys):
+    # the keys fill a %-template, so a % in a key must come out as itself
+    header = ('say "%s"', "caf\u00e9", "%", "back\\slash\n", "d")
+    rows = [('"%d" \\ %%', "\u00e9\u2603\U0001f600", -7, False, None), ("\t", "", 10**30, True, None)]
+    cli._print_rows(rows, header, "json")
+    expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    assert first_difference(capsys.readouterr().out, expected) is None
+
+
 @pytest.mark.parametrize("variant,n", [(v, n) for v in basis.VARIANTS for n in range(1, 5)])
 def test_basis_json_matches_one_dumps_of_the_whole_basis(capsys, variant, n):
     code, out, err = run_cli(capsys, "basis", "--n", str(n), "--variant", variant, "--format", "json")
@@ -328,6 +337,24 @@ def test_verify_n7_output_and_peak_memory(tmp_path):
     # the peak is in kB; the run took about 70 MB while specializations
     # compared element lists
     assert peak < 40 * 1024, peak
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="verify --n 8 in a subprocess; set COINV_LONG=1 (about 11 s)",
+)
+def test_verify_n8_output_and_peak_memory(tmp_path):
+    returncode, out, err, peak, _ = run_child(tmp_path, "verify", "--n", "8", timeout=300)
+    assert returncode == 0
+    # the same 26 ok lines as verify --n 5
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == "0f27944aa2233c51b04313041e6a0647a481a15b481e8a59361996f870411897"
+    assert err == "".join(
+        "verify: %s ran at n=%d (asked 8)\n" % (name, limit) for name, _, limit in verify.CHECKS if limit < 8
+    )
+    # the peak is in kB; the run takes about 80 MB, and symmetry-witness
+    # took it to about 390 MB while every piece's monomial expansion was kept
+    assert peak < 100 * 1024, peak
 
 
 @pytest.mark.skipif(

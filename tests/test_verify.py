@@ -33,12 +33,12 @@ def test_checks_run_in_order_at_their_limits():
         ("bijection-suite", 7),
         ("sw-recursion", 7),
         ("frobenius-routes", 6),
-        ("symmetry-witness", 6),
-        ("h-mu-dual", 6),
+        ("symmetry-witness", 8),
+        ("h-mu-dual", 8),
         ("hook-identities", 8),
         ("hook-h-dual", 8),
         ("hook-characterization", 7),
-        ("frobenius-specializations", 7),
+        ("frobenius-specializations", 8),
         ("slinky", 8),
         ("oracle-type-a", 3),
         ("oracle-type-b", 2),
@@ -131,6 +131,22 @@ def off_by_q(fn):
 def test_h_mu_dual_catches_a_wrong_h_mu_coefficient(monkeypatch):
     monkeypatch.setattr(symfun, "h_mu_coefficient", off_by_q(symfun.h_mu_coefficient))
     assert verify.check_h_mu_dual(3) is not None
+
+
+def test_h_mu_dual_sums_the_monomial_side_from_the_words(monkeypatch):
+    """One word too many at the exponent (2, 1, 0) in every Q_S of size 3
+    moves the m_(2,1) side, which is summed from the words of each Q_S and
+    not read off the ascent table that h_mu_coefficient reads."""
+    tally = verify._word_tally
+
+    def one_word_too_many(subset):
+        counts = dict(tally(subset))
+        if subset.n == 3:
+            counts[2, 1, 0] = counts.get((2, 1, 0), 0) + 1
+        return counts
+
+    monkeypatch.setattr(verify, "_word_tally", one_word_too_many)
+    assert verify.check_h_mu_dual(3) == "h_mu dual-path fails at n=3 mu=2,1 (k=0,l=0)"
 
 
 def test_sw_recursion_catches_a_wrong_sw_q(monkeypatch):
@@ -439,12 +455,35 @@ def test_symmetry_witness_catches_a_term_that_is_not_symmetric(monkeypatch):
         return out
 
     monkeypatch.setattr(symfun, "frobenius_qsym", with_q_1_3)
-    verify._piece_expansion.cache_clear()
+    assert verify.check_symmetry_witness(3) == "monomial expansion not symmetric at n=3 (k=0,l=0)"
+
+
+def test_symmetry_witness_keeps_no_expansion_past_its_piece():
+    """With the ascent tables and the word tallies of every subset built
+    first, the check at n=6 leaves the traced memory where it found it:
+    each piece's monomial expansion is dropped before the next."""
+    import gc
+    import tracemalloc
+
+    from coinv.combinat import enumerate_subsets
+
+    for m in range(1, 7):
+        symfun.frobenius_qsym(m)
+        for subset in enumerate_subsets(m):
+            verify._word_tally(subset)
+    tracemalloc.start()
     try:
-        assert verify.check_symmetry_witness(3) == "monomial expansion not symmetric at n=3 (k=0,l=0)"
+        # a full collection also empties the free lists of tuples and
+        # dicts, whose blocks tracemalloc still counts
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        assert verify.check_symmetry_witness(6) is None
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
     finally:
-        # the pieces were expanded from the broken series
-        verify._piece_expansion.cache_clear()
+        tracemalloc.stop()
+    # the cache that kept every piece's expansion grew by about 7 MB here
+    assert grown < 16 * 1024, grown
 
 
 def test_hook_identities_catch_a_wrong_closed_form(monkeypatch):

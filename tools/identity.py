@@ -8,9 +8,10 @@ side by side; their stdout, stderr and exit codes are compared.  Each
 invocation that differs is printed with what differs.  The exit code is 1
 when any invocation differs, else 0.  The matrix holds refusals from
 every cap and every input check, so the two trees are compared on their
-messages too.  The whole matrix of 298 invocations took 65 s on a 2-core
-machine: about 10 s for `bijection --n 8 --format csv`, and about 7 s each
-for `verify --n 12` and the oracle's long n = 4 run.
+messages too.  The whole matrix of 298 invocations took 51 s on a 2-core
+machine: about 11 s for `verify --n 12`, about 9 s for
+`bijection --n 8 --format csv` and about 7 s for the oracle's long n = 4
+run.
 """
 
 import hashlib
