@@ -35,10 +35,11 @@ MAX_ENUMERATED = 10_000_000
 # `basis` applies it.  The rows of size n grow from the table of size n-1,
 # one entry per a12 element of size n-1, held whole and bucketed by bar
 # mask, one group of n! rows at a time.  So the gate counts the table of
-# size n-1: n=8 holds 322,560 entries and peaks at about 160 MB in csv,
-# json and text, about 16 MB for the interpreter and 440 bytes an entry;
-# n=9 would hold 5,160,960, about 2.3 GB at that rate, and is refused
-# before anything is built.
+# size n-1: n=8 holds 322,560 entries and peaks at about 90 MB in csv,
+# json and text, about 16 MB for the interpreter and 240 bytes an entry
+# (its tuple and sigma; the parts that repeat are shared); n=9 would hold
+# 5,160,960, about 1.2 GB at that rate, and is refused before anything is
+# built.
 BIJECTION_ROWS_CAP = 2_000_000
 
 BIJECTION_HEADER = ("sigma", "basis_element", "k", "l", "sminv", "split")

@@ -465,6 +465,8 @@ def _parent(entry, splits):
     concatenation.  r blocks lie right of m's block, and thick is 1 when m
     starts its block, as the largest letter ends no fall.  splits is the
     pair (split set, split set with m) in the form the children carry.
+    Each call builds its own bars, xs and fs; psi_groups keeps one copy of
+    each distinct one among the entries it holds.
     """
     mask, letters, sigma, monomial, k, l, inv, _ = entry
     bars = [-1]
@@ -548,19 +550,29 @@ def psi_groups(n):
     labels worked out once.  Each insertion of one parent mask lands on
     one child mask, so a group is grown from the parent groups whose
     insertions land on it, sorted, yielded and dropped.
+
+    The held entries share every part that repeats: the split labels, one
+    pair per split set, and, through one map that lives for this call, the
+    bars tuples, x factors and fermion factors.  An entry's own are its
+    tuple and sigma; k, l, sminv, r and thick are small ints.  At n = 8 the
+    322,560 held entries have 6,819 distinct bars tuples and factor
+    strings between them; with the first group of 40,320 rows they take
+    72 MB (tracemalloc), where a copy of each part per entry took 137 MB.
     """
     if n == 1:
         yield [("1", "1", 0, 0, 0, "{}")]
         return
     m = n - 1
     labels = {}  # split set -> its labels without and with m
+    share = {}.setdefault  # bars, x factors or fermion factors -> its one copy
     parents = [[] for _ in range(1 << (m - 1))]
     for entry in psi_table(m):
         split = entry[7]
         pair = labels.get(split)
         if pair is None:
             pair = labels[split] = tuple("{%s}" % ",".join(map(str, s)) for s in (split, split + (m,)))
-        parents[entry[0]].append(_parent(entry, pair))
+        sigma, bars, xs, fs, *stats = _parent(entry, pair)
+        parents[entry[0]].append((sigma, share(bars, bars), share(xs, xs), share(fs, fs), *stats))
     sources = [[] for _ in range(1 << m)]  # child mask -> (parent group, insertion)
     for mask, group in enumerate(parents):
         for insertion in _insertions(mask, n):

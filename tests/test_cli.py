@@ -872,16 +872,17 @@ def check_n8_csv_rows(lines):
     not os.environ.get("COINV_LONG"),
     reason="bijection --n 8 in subprocesses; set COINV_LONG=1 (about 2 minutes)",
 )
-@pytest.mark.parametrize("fmt, lines", [
-    pytest.param("csv", 1 + 5160960, id="csv"),
-    pytest.param("json", 2 + 8 * 5160960, id="json"),
-    pytest.param("text", 1 + 5160960, id="text"),
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt, lines, digest", [
+    pytest.param("csv", 1 + 5160960, "f06a0d0de58dc95abcc29f247de3dd6d3780678c335ece639d8751b1fe641b3a", id="csv"),
+    pytest.param("json", 2 + 8 * 5160960, "d40bce08d15adc457732f3637cc19b1c30c3fee2fa6b5d2b4bcfa93397282af7", id="json"),
+    pytest.param("text", 1 + 5160960, "7bc84bbf72f3ddf1754c889c8e2a3186fc805c197b6159322572be550efe98d6", id="text"),
 ])
-def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines):
+def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines, digest):
     """The table of size 7 is held and the rows of size 8 are grown one bar
     mask's group at a time; the run used to be refused, as it would hold
     about 1.4 GB of rows."""
-    code, out_path, err, _, _ = spawn_child(tmp_path, "bijection", "--n", "8", "--format", fmt, timeout=600)
+    code, out_path, err, peak, _ = spawn_child(tmp_path, "bijection", "--n", "8", "--format", fmt, timeout=600)
     try:
         assert (code, err) == (0, "")
         with open(out_path, newline="") as out:
@@ -890,8 +891,17 @@ def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines):
                 assert 1 + check_n8_csv_rows(out) == lines
             else:
                 assert sum(1 for _ in out) == lines
+        sha = hashlib.sha256()
+        with open(out_path, "rb") as out:
+            for chunk in iter(lambda: out.read(1 << 20), b""):
+                sha.update(chunk)
+        assert sha.hexdigest() == digest
     finally:
         out_path.unlink()
+    # the peak is in kB; the held table of size 7 shares its entries'
+    # repeated parts, and the run takes about 90 MB, against about 159 MB
+    # while each entry kept its own
+    assert peak < 120 * 1024, peak
 
 
 @pytest.mark.skipif(

@@ -11,7 +11,8 @@ every cap and every input check, so the two trees are compared on their
 messages too.  The whole matrix of 298 invocations took 51 s on a 2-core
 machine: about 11 s for `verify --n 12`, about 9 s for
 `bijection --n 8 --format csv` and about 7 s for the oracle's long n = 4
-run.
+run.  On a busier 2-core machine, where those three took 20, 15 and 10 s
+alone, it took 100 to 127 s.
 """
 
 import hashlib
