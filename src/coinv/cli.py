@@ -25,22 +25,18 @@ from .combinat import Partition
 # 128 + SIGPIPE: the status of a process that a closed pipe ended
 EXIT_CLOSED_PIPE = 141
 
-# Largest basis that `basis` lists element by element.
+# Largest basis that `basis` lists element by element, and largest table,
+# in entries, that `bijection` holds.
 # `basis` streams, so the cap bounds its time and output, not its memory:
 # a12 n=8 (5,160,960 elements) as json runs in 45 to 51 s at 20 MB under a
 # 1 GiB address space; a12 n=9 (92,897,280) and b12 n=7 (82,575,360) are refused.
+# The rows of `bijection` at n grow from the table of size n-1, one entry
+# per a12 element of size n-1, held whole in columns per bar mask at about
+# 27 bytes an entry, one group of n! rows at a time.  So its gate counts
+# the table of size n-1: n=9 holds 5,160,960 entries and peaks at 215 to
+# 255 MB; the cap would hold about 270 MB, and n=10 would hold 92,897,280
+# entries, about 2.5 GB, and is refused before anything is built.
 MAX_ENUMERATED = 10_000_000
-
-# Largest table, in entries, that `bijection` holds; the same gate as
-# `basis` applies it.  The rows of size n grow from the table of size n-1,
-# one entry per a12 element of size n-1, held whole and bucketed by bar
-# mask, one group of n! rows at a time.  So the gate counts the table of
-# size n-1: n=8 holds 322,560 entries and peaks at about 90 MB in csv,
-# json and text, about 16 MB for the interpreter and 240 bytes an entry
-# (its tuple and sigma; the parts that repeat are shared); n=9 would hold
-# 5,160,960, about 1.2 GB at that rate, and is refused before anything is
-# built.
-BIJECTION_ROWS_CAP = 2_000_000
 
 BIJECTION_HEADER = ("sigma", "basis_element", "k", "l", "sminv", "split")
 
@@ -133,8 +129,8 @@ def _print_rows(rows, header, fmt):
 
     csv and json take any iterable of rows and write them as they come.
     Text measures each column's width over the rows first, so it needs a
-    sequence; a table whose widths are known before its first row goes to
-    _print_text as an iterable.
+    sequence, and writes each column left-aligned to its width and each
+    line without trailing spaces.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -152,16 +148,9 @@ def _print_rows(rows, header, fmt):
     elif fmt == "json":
         _print_json_rows(rows, header)
     else:
-        _print_text(rows, header, [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
-                                   for i, h in enumerate(header)])
-
-
-def _print_text(rows, header, widths):
-    """Emit the header and the rows as text, each column left-aligned to
-    its width and each line without trailing spaces."""
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
+        widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0)) for i, h in enumerate(header)]
+        for row in chain([header], rows):
+            print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def cmd_basis(args):
@@ -212,23 +201,28 @@ def cmd_frobenius(args):
     return 0
 
 
-def bijection_rows(n):
-    """The conversion table as an iterator of rows, grouped by bar pattern
-    (bitmask order) and ordered by the underlying permutation within each
-    group.
+def _bijection_groups(n, form, label):
+    """smirnov.psi_groups(n, form, label), with n checked here, before any
+    of the table is built.
 
-    smirnov.psi_groups grows each bar mask's group from the table of size
-    n-1 and sorts it by sigma, so the table of size n is never whole.
-    Inside one group every sigma has its bars and spaces in the same
-    places, so while every letter is one digit (n <= 9) sigma's string
-    order is the letters' order.  n is checked here, before any of the
-    table is built.
+    psi_groups grows each bar mask's group from the table of size n-1 and
+    sorts it, so the table of size n is never whole.  Inside one group
+    every sigma has its bars and spaces in the same places, so while every
+    letter is one digit (n <= 9) sigma's string order is the letters'
+    order.
     """
     from . import smirnov
 
     if not 1 <= n <= 9:
         raise ValueError("the bijection table sorts sigma as a string, so needs 1 <= n <= 9, not n=%d" % n)
-    return chain.from_iterable(smirnov.psi_groups(n))
+    return smirnov.psi_groups(n, form, label)
+
+
+def bijection_rows(n):
+    """The conversion table as an iterator of rows (sigma, monomial, k, l,
+    sminv, split), grouped by bar pattern (bitmask order) and ordered by
+    the underlying permutation within each group."""
+    return chain.from_iterable(_bijection_groups(n, tuple, str))
 
 
 def bijection_widths(n):
@@ -246,14 +240,55 @@ def bijection_widths(n):
     return tuple(max(len(h), w) for h, w in zip(BIJECTION_HEADER, longest))
 
 
+def _csv_cell(text):
+    """One cell as csv.writer writes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+def _bijection_lines(n, fmt):
+    """The %-template of a line of the bijection table in fmt, filled by the
+    cells (sigma, monomial, k, l, sminv, split), and the encoder of a split
+    label into its cell.
+
+    sigma and the monomial hold digits, letters, spaces, "|", "*" and "^"
+    only, which neither csv nor json escapes.  Every line puts sigma first,
+    after a prefix common to the format and at a fixed width, so the lines
+    sort as their sigmas.  Text pads every cell but the last to its
+    column's width, which bijection_widths fixes, and so leaves no
+    trailing spaces.
+    """
+    if fmt == "csv":
+        return ",".join(["%s"] * len(BIJECTION_HEADER)) + "\n", _csv_cell
+    if fmt == "json":
+        cells = ('"%s"', '"%s"', "%s", "%s", "%s", "%s")
+        fields = ",\n".join("    %s: %s" % (json.dumps(key), cell) for key, cell in zip(BIJECTION_HEADER, cells))
+        return "  {\n%s\n  }" % fields, json.encoder.encode_basestring_ascii
+    widths = bijection_widths(n)
+    return "  ".join("%%-%ds" % w for w in widths[:-1]) + "  %s\n", str
+
+
+def _group_texts(groups, sep):
+    """sep.join of each slice of up to JSON_SLICE lines of each group; each
+    group is dropped before the next is grown."""
+    for group in groups:
+        for i in range(0, len(group), JSON_SLICE):
+            yield sep.join(group[i:i + JSON_SLICE])
+        del group
+
+
 def cmd_bijection(args):
-    _check_enumerable(args.n - 1, "a12", BIJECTION_ROWS_CAP,
+    _check_enumerable(args.n - 1, "a12", MAX_ENUMERATED,
                       lambda m: "the bijection table for n=%d holds the table for n=%d, whose a12 basis" % (m + 1, m))
-    rows = bijection_rows(args.n)
-    if args.format == "text":
-        _print_text(rows, BIJECTION_HEADER, bijection_widths(args.n))
+    template, label = _bijection_lines(args.n, args.format)
+    groups = _bijection_groups(args.n, template.__mod__, label)
+    if args.format == "json":
+        _print_json_slices(_group_texts(groups, ",\n"))
     else:
-        _print_rows(rows, BIJECTION_HEADER, args.format)
+        sys.stdout.write(template % BIJECTION_HEADER)
+        for text in _group_texts(groups, ""):
+            sys.stdout.write(text)
     return 0
 
 

@@ -9,7 +9,6 @@ the xi-degree and the sminversion count to the x-degree.
 
 import re
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .basis import BasisElement
@@ -392,10 +391,12 @@ class _Insertion(NamedTuple):
     with one bar mask: one step with one alpha_n = a.
 
     The child's bar mask is `mask`, and n goes in at index `at` of the
-    letters.  sigma is cut at cut = bars[bar] and glued back as
-    sigma[:cut + lo] + text + sigma[cut + hi:].  The monomial gains
-    x_factor after its x factors and `fermions` at the end.  k, l and sminv
-    grow by dk, dl and a.  The split set gains n-1 when
+    letters.  sigma is cut at cut = bars[bar], the index in sigma of the
+    bar in front of block `bar` (-1 for block 0), and glued back as
+    sigma[:cut + lo] + text + sigma[cut + hi:].  Block `bar` starts at
+    letter `at`, so while every letter is one digit, cut = 2 at - 1.  The
+    monomial gains x_factor after its x factors and `fermions` at the end.
+    k, l and sminv grow by dk, dl and a.  The split set gains n-1 when
     grows[thick][r < left] is 1, with thick n-1's thick flag and r the
     number of blocks right of n-1's block: n lands left of n-1 exactly
     when r < left.
@@ -455,40 +456,21 @@ def _insertions(mask, n):
     return out
 
 
-def _parent(entry, splits):
-    """What every insertion reads from one psi_table entry of size m:
-    (sigma, bars, xs, fs, k, l, sminv, r, thick, splits).
+def _parent(mask, letters, monomial):
+    """What every insertion reads from one psi_table entry of size m, beyond
+    its sigma and statistics: (xs, fs, r, thick).
 
-    bars[b] is the index in sigma of the bar in front of block b, -1 for
-    block 0 and len(sigma) for b = h.  xs and fs are the monomial's x and
-    fermion factors, each factor with a leading "*", so that joining is
-    concatenation.  r blocks lie right of m's block, and thick is 1 when m
-    starts its block, as the largest letter ends no fall.  splits is the
-    pair (split set, split set with m) in the form the children carry.
-    Each call builds its own bars, xs and fs; psi_groups keeps one copy of
-    each distinct one among the entries it holds.
+    xs and fs are the monomial's x and fermion factors, each factor with a
+    leading "*", so that joining is concatenation.  r blocks lie right of
+    m's block, and thick is 1 when m starts its block, as the largest
+    letter ends no fall.
     """
-    mask, letters, sigma, monomial, k, l, inv, _ = entry
-    bars = [-1]
-    for label in sigma.split("|"):
-        bars.append(bars[-1] + len(label) + 1)
     at = letters.index(len(letters))
     thick = 1 if at == 0 else (mask >> (at - 1)) & 1
     starred = "*" + monomial if monomial != "1" else ""
     cut = _FERMION_FACTORS.search(starred)
     cut = cut.start() if cut else len(starred)
-    return sigma, tuple(bars), starred[:cut], starred[cut:], k, l, inv, (mask >> at).bit_count(), thick, splits
-
-
-def _grow(parents, insertion):
-    """The children of `parents`, all of one bar mask, under one insertion,
-    each as (sigma, monomial, k, l, sminv, split)."""
-    _, _, a, bar, lo, hi, text, x_factor, fermions, dk, dl, left, grows = insertion
-    return [
-        (sigma[:bars[bar] + lo] + text + sigma[bars[bar] + hi:], (xs + x_factor + fs + fermions)[1:] or "1",
-         k + dk, l + dl, inv + a, splits[grows[thick][r < left]])
-        for sigma, bars, xs, fs, k, l, inv, r, thick, splits in parents
-    ]
+    return starred[:cut], starred[cut:], (mask >> at).bit_count(), thick
 
 
 def psi_table(n):
@@ -530,59 +512,90 @@ def psi_table(n):
         return
     new = (n,)
     insertions = {}  # parent bar mask -> its insertions
-    for entry in psi_table(n - 1):
-        mask, letters, split = entry[0], entry[1], entry[7]
-        parent = [_parent(entry, (split, split + (n - 1,)))]
+    for mask, letters, sigma, monomial, k, l, inv, split in psi_table(n - 1):
+        xs, fs, r, thick = _parent(mask, letters, monomial)
+        splits = split, split + (n - 1,)
+        # bars[b]: the index in sigma of the bar in front of block b, -1
+        # for block 0 and len(sigma) for the end; letters may have several
+        # digits here
+        bars = [-1]
+        for label in sigma.split("|"):
+            bars.append(bars[-1] + len(label) + 1)
         if mask not in insertions:
             insertions[mask] = _insertions(mask, n)
-        for insertion in insertions[mask]:
-            (child,) = _grow(parent, insertion)
-            yield (insertion.mask, letters[:insertion.at] + new + letters[insertion.at:]) + child
+        for child, at, a, bar, lo, hi, text, x_factor, fermions, dk, dl, left, grows in insertions[mask]:
+            cut = bars[bar]
+            yield (child, letters[:at] + new + letters[at:], sigma[:cut + lo] + text + sigma[cut + hi:],
+                   (xs + x_factor + fs + fermions)[1:] or "1", k + dk, l + dl, inv + a,
+                   splits[grows[thick][r < left]])
 
 
-def psi_groups(n):
-    """The bijection table of size n, one bar mask's group at a time.
+def psi_groups(n, form, label):
+    """The bijection table of size n <= 9, one bar mask's group at a time.
 
     Yields, for each bar mask in ascending order, the list of its n! rows
-    (sigma, monomial, k, l, sminv, split) sorted by sigma, with split
-    written as "{1,3}".  Only the table of size n-1 is held, bucketed by
-    bar mask, each entry with what its insertions read and its two split
-    labels worked out once.  Each insertion of one parent mask lands on
-    one child mask, so a group is grown from the parent groups whose
-    insertions land on it, sorted, yielded and dropped.
+    sorted, each row form((sigma, monomial, k, l, sminv, split)) with split
+    the cell label("{1,3}").  form is tuple for the rows themselves, or a
+    function that makes each row its output line; sorting the rows must
+    sort them as their sigmas.  label is called once per split label.
 
-    The held entries share every part that repeats: the split labels, one
-    pair per split set, and, through one map that lives for this call, the
-    bars tuples, x factors and fermion factors.  An entry's own are its
-    tuple and sigma; k, l, sminv, r and thick are small ints.  At n = 8 the
-    322,560 held entries have 6,819 distinct bars tuples and factor
-    strings between them; with the first group of 40,320 rows they take
-    72 MB (tracemalloc), where a copy of each part per entry took 137 MB.
+    Only the table of size m = n-1 is held, from psi_table, as columns per
+    bar mask: the sigmas as one string of slices 2m-1 wide, since every
+    letter is one digit, gathered as bytes; k, l, sminv, r, thick and the
+    split set's id in one array of bytes, six to an entry; and the ids of
+    the x and fermion factors in an array of two-byte ints, two to an
+    entry.  The split
+    labels and the factor strings are held once each, in lists that live
+    for the call.  No entry has a tuple or a string of its own.  Each
+    insertion of one parent mask lands on one child mask, so a group is
+    grown from the parent groups whose insertions land on it, in one loop
+    over the columns, sorted, yielded and dropped.  Inside one parent mask
+    every sigma has its bars at the same places, so an insertion cuts
+    sigma at the same index in each: the one in front of the letter at
+    which n goes in.
     """
     if n == 1:
-        yield [("1", "1", 0, 0, 0, "{}")]
+        yield [form(("1", "1", 0, 0, 0, label("{}")))]
         return
+    # array is an extension module, about 76 KB resident once loaded;
+    # loaded here, it stays out of the commands that use smirnov without
+    # this table, such as verify
+    from array import array
+
     m = n - 1
-    labels = {}  # split set -> its labels without and with m
-    share = {}.setdefault  # bars, x factors or fermion factors -> its one copy
-    parents = [[] for _ in range(1 << (m - 1))]
-    for entry in psi_table(m):
-        split = entry[7]
-        pair = labels.get(split)
-        if pair is None:
-            pair = labels[split] = tuple("{%s}" % ",".join(map(str, s)) for s in (split, split + (m,)))
-        sigma, bars, xs, fs, *stats = _parent(entry, pair)
-        parents[entry[0]].append((sigma, share(bars, bars), share(xs, xs), share(fs, fs), *stats))
-    sources = [[] for _ in range(1 << m)]  # child mask -> (parent group, insertion)
-    for mask, group in enumerate(parents):
+    width = 2 * m - 1
+    masks = range(1 << (m - 1))
+    sigmas = [bytearray() for _ in masks]
+    stats = [array("B") for _ in masks]  # k, l, sminv, r, thick, split id
+    ids = [array("H") for _ in masks]  # x factor id, fermion factor id
+    split_ids, x_ids, f_ids = {}, {}, {}  # each distinct one -> its id
+    for mask, letters, sigma, monomial, k, l, inv, split in psi_table(m):
+        xs, fs, r, thick = _parent(mask, letters, monomial)
+        sigmas[mask] += sigma.encode()
+        stats[mask].extend((k, l, inv, r, thick, split_ids.setdefault(split, len(split_ids))))
+        ids[mask].extend((x_ids.setdefault(xs, len(x_ids)), f_ids.setdefault(fs, len(f_ids))))
+    # labels[s]: the labels of split set s without and with m
+    labels = [(label("{%s}" % ",".join(map(str, split))), label("{%s}" % ",".join(map(str, split + (m,)))))
+              for split in split_ids]
+    xs, fs = list(x_ids), list(f_ids)
+    del split_ids, x_ids, f_ids
+    sources = [[] for _ in range(1 << m)]  # child mask -> (parent columns, insertion)
+    for mask in masks:
+        sigma, sigmas[mask] = sigmas[mask].decode(), None
         for insertion in _insertions(mask, n):
-            sources[insertion.mask].append((group, insertion))
+            sources[insertion.mask].append((sigma, stats[mask], ids[mask], insertion))
     for found in sources:
         rows = []
-        for group, insertion in found:
-            rows += _grow(group, insertion)
-        # sigmas are unique, so comparing them alone orders the rows
-        rows.sort(key=itemgetter(0))
+        for sigma, stat, idx, (_, at, a, _, lo, hi, text, x_factor, fermions, dk, dl, left, grows) in found:
+            head, tail = 2 * at - 1 + lo, 2 * at - 1 + hi
+            rows += [
+                form((sigma[o:o + head] + text + sigma[o + tail:o + width],
+                      (xs[x] + x_factor + fs[f] + fermions)[1:] or "1",
+                      k + dk, l + dl, inv + a, labels[s][grows[thick][r < left]]))
+                for o, k, l, inv, r, thick, s, x, f in zip(range(0, len(sigma), width), *[iter(stat)] * 6,
+                                                           *[iter(idx)] * 2)
+            ]
+        rows.sort()
         yield rows
 
 

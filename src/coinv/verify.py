@@ -350,11 +350,22 @@ def check_frobenius_routes(m):
         return "Frobenius paired with h_1^n misses the Hilbert series at n=%d" % m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _tallies_of_size(n):
+    """The word tallies of the subsets of {1..n-1} counted so far, by
+    subset.  A check runs its body at m = 1, 2, ..., and each body asks
+    for subsets of its own m only, so only the last size asked for is
+    kept: at n = 8 a tally of every size took 12.9 MB."""
+    return {}
+
+
 def _word_tally(subset):
     """The monomials of Q_{S,n} for the IndexSubset S of {1..n-1}, as
     {exponent vector: count} over the weakly increasing maps
     {1..n} -> {1..n} that rise strictly at the positions in S."""
+    tallies = _tallies_of_size(subset.n)
+    if subset in tallies:
+        return tallies[subset]
     n = subset.n
     strict_at = set(subset.elements)
 
@@ -375,6 +386,7 @@ def _word_tally(subset):
             exps[letter - 1] += 1
         key = tuple(exps)
         counts[key] = counts.get(key, 0) + 1
+    tallies[subset] = counts
     return counts
 
 

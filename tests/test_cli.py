@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
@@ -266,28 +267,63 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def spawn_child(tmp_path, *argv, timeout=120):
-    """Run `coinv argv` in a child process under a 1 GiB address space.
+def stream_child(tmp_path, consume, *argv, timeout=120):
+    """Run `coinv argv` in a child process under a 1 GiB address space and
+    hand its stdout, a binary pipe, to consume as it is written.
 
-    Returns its exit code, the path of the file that holds its stdout, its
-    stderr text, its own peak resident set in kB (None without
-    /proc/self/status) and its own CPU seconds, which a busy machine does
-    not stretch as it does wall time."""
+    Returns its exit code, what consume returned, its stderr text, its own
+    peak resident set in kB (None without /proc/self/status) and its own
+    CPU seconds, which a busy machine does not stretch as it does wall
+    time.  The child is killed when consume raises, and after timeout
+    seconds, which raise subprocess.TimeoutExpired."""
     import resource
+    import threading
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out_path, err_path, peak_path = tmp_path / "out", tmp_path / "err", tmp_path / "peak"
+    err_path, peak_path = tmp_path / "err", tmp_path / "peak"
     peak_path.unlink(missing_ok=True)
+    command = [sys.executable, "-c", PEAK_PROBE, str(peak_path), *argv]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    with open(out_path, "wb") as out, open(err_path, "wb") as err:
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_PROBE, str(peak_path), *argv],
-            stdout=out, stderr=err, env=env, timeout=timeout, preexec_fn=limit_address_space,
-        )
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err, env=env, preexec_fn=limit_address_space)
+    expired = threading.Event()
+
+    def expire():
+        expired.set()
+        proc.kill()
+
+    timer = threading.Timer(timeout, expire)
+    timer.start()
+    try:
+        with proc.stdout:
+            result = consume(proc.stdout)
+    except BaseException:
+        proc.kill()
+        raise
+    finally:
+        proc.wait()
+        timer.cancel()
+    if expired.is_set():
+        raise subprocess.TimeoutExpired(command, timeout)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     peak = int(peak_path.read_text()) if peak_path.exists() else None
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    return proc.returncode, out_path, err_path.read_text(), peak, cpu
+    return proc.returncode, result, err_path.read_text(), peak, cpu
+
+
+def spawn_child(tmp_path, *argv, timeout=120):
+    """stream_child, with the child's stdout copied to a file, whose path
+    takes the place of consume's result."""
+    import shutil
+
+    out_path = tmp_path / "out"
+
+    def to_file(stdout):
+        with open(out_path, "wb") as out:
+            shutil.copyfileobj(stdout, out, 1 << 20)
+        return out_path
+
+    return stream_child(tmp_path, to_file, *argv, timeout=timeout)
 
 
 def run_child(tmp_path, *argv, timeout=120):
@@ -813,19 +849,19 @@ def test_huge_n_is_refused_by_its_cap_at_once(tmp_path, argv, cap):
     assert cpu < 1
 
 
-def test_bijection_refuses_n9_within_1_gib(tmp_path):
+def test_bijection_refuses_n10_within_1_gib(tmp_path):
     """The rows of size n grow from the table of size n-1, held whole, so
     the listing gate checks that table, one entry per a12 element of size
-    n-1, against its own cap before it is built: n = 9 exits 2 at once,
-    and n = 8 runs."""
-    code, out, err, _, cpu = run_child(tmp_path, "bijection", "--n", "9", "--format", "csv")
+    n-1, against the listing cap before it is built: n = 10 exits 2 at
+    once, and n = 9 runs."""
+    code, out, err, _, cpu = run_child(tmp_path, "bijection", "--n", "10", "--format", "csv")
     assert (code, out) == (2, b"")
     assert err == (
-        "the bijection table for n=9 holds the table for n=8, whose a12 basis has 5160960 elements, "
-        "over the listing cap of %d\n" % cli.BIJECTION_ROWS_CAP
+        "the bijection table for n=10 holds the table for n=9, whose a12 basis has 92897280 elements, "
+        "over the listing cap of %d\n" % cli.MAX_ENUMERATED
     )
     assert cpu < 1
-    assert basis.count_basis(7, "a12") <= cli.BIJECTION_ROWS_CAP < basis.count_basis(8, "a12")
+    assert basis.count_basis(8, "a12") <= cli.MAX_ENUMERATED < basis.count_basis(9, "a12")
 
 
 def test_bijection_n7_runs_within_1_gib(tmp_path):
@@ -835,27 +871,30 @@ def test_bijection_n7_runs_within_1_gib(tmp_path):
     assert out.count(b"\n") == 1 + basis.count_basis(7, "a12")
 
 
-def check_n8_csv_rows(lines):
-    """Check the rows of `bijection --n 8 --format csv`: every bar mask's
-    group holds 8! rows, the groups come in mask order, each sorted by
-    sigma, and a seeded sample of 2,000 rows goes through psi_inverse and
-    psi back to its own monomial and statistics.  Returns the row count."""
+def check_csv_rows(lines, n):
+    """Check the rows of `bijection --n n --format csv`, as byte strings
+    without their line ends: every bar mask's group holds n! rows, the
+    groups come in mask order, each sorted by sigma, and a seeded sample
+    of 2,000 rows goes through psi_inverse and psi back to its own monomial
+    and statistics.  Returns the row count."""
     import random
 
-    sample = set(random.Random(2024).sample(range(basis.count_basis(8, "a12")), 2000))
+    width, size = 2 * n - 1, factorial(n)  # sigma's width, a group's row count
+    sample = set(random.Random(2024).sample(range(basis.count_basis(n, "a12")), 2000))
     count, checked = 0, 0
     group, bars, last = -1, None, None
-    for count, row in enumerate(csv.reader(lines)):
-        sigma, monomial, k, l, inv, split = row
+    for count, line in enumerate(lines):
+        sigma = line[:width]
         if sigma[1::2] != bars:  # the separators, one between each two letters
             bars = sigma[1::2]
-            mask = sum(1 << i for i, c in enumerate(bars) if c == "|")
-            assert mask == group + 1 and count == 40320 * mask, (count, sigma)
+            mask = sum(1 << i for i, c in enumerate(bars) if c == ord("|"))
+            assert mask == group + 1 and count == size * mask, (count, sigma)
             group = mask
         else:
             assert last < sigma, (count, sigma)
         last = sigma
         if count in sample:
+            sigma, monomial, k, l, inv, split = next(csv.reader([line.decode()]))
             element = smirnov.psi_inverse(smirnov.parse_word(sigma))
             assert element.monomial_str() == monomial, sigma
             word = smirnov.psi(element)
@@ -864,7 +903,7 @@ def check_n8_csv_rows(lines):
             assert stats[:3] == (int(k), int(l), int(inv)), sigma
             assert "{%s}" % ",".join(map(str, stats[3])) == split, sigma
             checked += 1
-    assert checked == 2000 and group == 127
+    assert checked == 2000 and group == (1 << (n - 1)) - 1
     return count + 1
 
 
@@ -885,10 +924,10 @@ def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines, digest):
     code, out_path, err, peak, _ = spawn_child(tmp_path, "bijection", "--n", "8", "--format", fmt, timeout=600)
     try:
         assert (code, err) == (0, "")
-        with open(out_path, newline="") as out:
+        with open(out_path, "rb") as out:
             if fmt == "csv":
-                assert next(out) == ",".join(BIJECTION_HEADER) + "\n"
-                assert 1 + check_n8_csv_rows(out) == lines
+                assert next(out) == (",".join(BIJECTION_HEADER) + "\n").encode()
+                assert 1 + check_csv_rows((line[:-1] for line in out), 8) == lines
             else:
                 assert sum(1 for _ in out) == lines
         sha = hashlib.sha256()
@@ -898,10 +937,49 @@ def test_bijection_n8_runs_within_1_gib(tmp_path, fmt, lines, digest):
         assert sha.hexdigest() == digest
     finally:
         out_path.unlink()
-    # the peak is in kB; the held table of size 7 shares its entries'
-    # repeated parts, and the run takes about 90 MB, against about 159 MB
-    # while each entry kept its own
-    assert peak < 120 * 1024, peak
+    # the peak is in kB; the held table of size 7 is packed in columns per
+    # bar mask, and the run takes 31 to 37 MB, against about 90 MB with a
+    # tuple and a sigma per held entry and about 159 MB with a copy of
+    # every part per entry
+    assert peak < 50 * 1024, peak
+
+
+def streamed_lines(stdout, sha):
+    """The lines of a binary stream without their line ends, each chunk
+    read also going into the hash sha."""
+    tail = b""
+    for chunk in iter(lambda: stdout.read(1 << 20), b""):
+        sha.update(chunk)
+        lines = (tail + chunk).split(b"\n")
+        tail = lines.pop()
+        yield from lines
+    assert tail == b"", tail[:100]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="bijection --n 9 in a subprocess; set COINV_LONG=1 (about 5 minutes)",
+)
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_bijection_n9_csv_runs_within_1_gib(tmp_path):
+    """The table of size 8, 5,160,960 entries, is held in columns and the
+    92,897,280 rows of size 9 are grown one bar mask's group at a time.
+    The run's 7.1 GB of stdout are checked and hashed as they stream."""
+    sha = hashlib.sha256()
+
+    def check(stdout):
+        lines = streamed_lines(stdout, sha)
+        assert next(lines) == ",".join(BIJECTION_HEADER).encode()
+        return 1 + check_csv_rows(lines, 9)
+
+    code, count, err, peak, _ = stream_child(tmp_path, check, "bijection", "--n", "9", "--format", "csv",
+                                             timeout=1800)
+    assert (code, err) == (0, "")
+    assert count == 1 + 92897280
+    assert sha.hexdigest() == "894abe8bb736b44e28a650f561ad41821cf1f3496be7cc17c35b8d6acafdb304"
+    # the peak is in kB; the run takes about 215 MB, most of it the held
+    # table at about 27 bytes an entry
+    assert peak < 300 * 1024, peak
 
 
 @pytest.mark.skipif(
@@ -958,7 +1036,7 @@ def test_jobs_is_only_an_oracle_option(command):
     (("basis", "--n", "9"), 92897280),
     (("basis", "--n", "9", "--variant", "a12", "--format", "json"), 92897280),
     (("basis", "--n", "7", "--variant", "b12"), 82575360),
-    (("bijection", "--n", "9"), 5160960),
+    (("bijection", "--n", "10"), 92897280),
     (("basis", "--n", "40", "--variant", "b11"), 197613377),
 ])
 def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv, count):
@@ -968,13 +1046,13 @@ def test_oversized_listing_exits_2_before_enumerating(capsys, monkeypatch, argv,
     monkeypatch.setattr(basis, "enumerate_basis", no_enumeration)
     monkeypatch.setattr(basis, "iter_basis", no_enumeration)
     monkeypatch.setattr(smirnov, "psi_table", no_enumeration)
-    # each listing command gates at its own cap
-    cap = {"basis": cli.MAX_ENUMERATED, "bijection": cli.BIJECTION_ROWS_CAP}[argv[0]]
+    # both listing commands gate at the one cap: basis on the basis it
+    # lists, bijection on the table of size n-1 it holds
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "has %d elements" % count in err
-    assert "over the listing cap of %d" % cap in err
+    assert "over the listing cap of %d" % cli.MAX_ENUMERATED in err
 
 
 def test_bijection_refuses_a_large_n_at_the_first_n_over_its_cap(capsys, monkeypatch):
@@ -988,8 +1066,8 @@ def test_bijection_refuses_a_large_n_at_the_first_n_over_its_cap(capsys, monkeyp
     code, out, err = run_cli(capsys, "bijection", "--n", "40")
     assert (code, out) == (2, "")
     assert err == (
-        "the bijection table for n=9 holds the table for n=8, whose a12 basis has 5160960 elements "
-        "(and it grows with n), over the listing cap of 2000000\n"
+        "the bijection table for n=10 holds the table for n=9, whose a12 basis has 92897280 elements "
+        "(and it grows with n), over the listing cap of 10000000\n"
     )
 
 

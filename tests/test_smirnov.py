@@ -466,22 +466,24 @@ def test_psi_table_grows_entries_with_two_digit_letters():
 
 def test_psi_groups_hold_each_repeated_part_of_the_table_once():
     """The table of size 6 is held while the first group of size 7 is
-    grown; its 23,040 entries share their bars tuples, x factors and
-    fermion factors, so the held table and the group's 5,040 rows take
-    about 5.5 MiB, against about 9.7 MiB with a copy of each per entry."""
+    grown.  Its 23,040 entries are held as columns per bar mask, with no
+    tuple or string of their own, and share their split labels and factor
+    strings, so the held table and the group's 5,040 rows take about
+    1.9 MiB, against about 5.5 MiB with a tuple and a sigma per entry and
+    about 9.7 MiB with a copy of every part per entry."""
     import gc
     import tracemalloc
 
     gc.collect()
     tracemalloc.start()
     try:
-        groups = psi_groups(7)
+        groups = psi_groups(7, tuple, str)
         first = next(groups)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(first) == factorial(7) and first[0][0] == "1 2 3 4 5 6 7"
-    assert held < 7 << 20, held
+    assert held < 2.5 * (1 << 20), held
 
 
 @pytest.mark.parametrize("splits", [(-1,), (-2,), (0,), (3,), (1, 1), (2, 1)])
