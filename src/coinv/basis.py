@@ -249,6 +249,33 @@ class _Packing:
 WALK_BYTES_CAP = {"a": 750 * 10**6, "b": 600 * 10**6}
 
 
+def _gated_packing(n, kind, values, cap, walk):
+    """The packing of a walk of size n and kind that holds up to `values`
+    whole packed values at once, refused, with the walk named as `walk`,
+    when they would take more than `cap` bytes.
+
+    A huge n is refused before n! is computed: with one-byte fields the
+    values would already take (top x-degree + 1) (n + 1)^2 bytes each.
+    """
+    # least >= n, so an n over the cap is refused with n itself as the
+    # bound: least // 10**6 could pass Python's int-to-str digit limit
+    least = n if n > cap else (top_x_degree(n, kind) + 1) * (n + 1) ** 2 * values
+    if least > cap:
+        raise ValueError(
+            "the %s at n=%d would hold at least %d MB of packed values, over the cap of %d MB"
+            % (walk, n, least // 10**6, cap // 10**6)
+        )
+    pack = _Packing(n, kind)
+    # a whole packed value spans us powers of v
+    need = pack.width * pack.qs * pack.us**2 // 8 * values
+    if need > cap:
+        raise ValueError(
+            "the %s at n=%d would hold about %d MB of packed values, over the cap of %d MB"
+            % (walk, n, round(need / 10**6), cap // 10**6)
+        )
+    return pack
+
+
 @lru_cache(maxsize=8)
 def _height_series(n, kind, start=None):
     """The a12 (kind "a") or b12 (kind "b") Hilbert series by recursion
@@ -261,27 +288,10 @@ def _height_series(n, kind, start=None):
     starts at height `start` after `start` steps, with weight 1.  The
     default start is the floor (motzkin.FLOOR), which every element passes:
     in type A its forced first up-step has the factor [1]_q = 1.
-    A walk whose estimated working set is over its `WALK_BYTES_CAP` is
-    refused before it starts, and a huge n before n! is computed: with
-    one-byte fields the walk would already hold
-    (top x-degree + 1) (n + 1)^2 n bytes.
+    A layer holds up to n packed values, and a walk whose values would
+    take more than its `WALK_BYTES_CAP` is refused before it starts.
     """
-    # least >= n, so an n over the cap is refused with n itself as the
-    # bound: least // 10**6 could pass Python's int-to-str digit limit
-    least = n if n > WALK_BYTES_CAP[kind] else (top_x_degree(n, kind) + 1) * (n + 1) ** 2 * n
-    if least > WALK_BYTES_CAP[kind]:
-        raise ValueError(
-            "the type %s series at n=%d would hold at least %d MB of packed values, over the cap of %d MB"
-            % (kind.upper(), n, least // 10**6, WALK_BYTES_CAP[kind] // 10**6)
-        )
-    pack = _Packing(n, kind)
-    # a whole packed value spans us powers of v; a layer holds up to n of them
-    need = pack.width * pack.qs * pack.us**2 // 8 * n
-    if need > WALK_BYTES_CAP[kind]:
-        raise ValueError(
-            "the type %s series at n=%d would hold about %d MB of packed values, over the cap of %d MB"
-            % (kind.upper(), n, round(need / 10**6), WALK_BYTES_CAP[kind] // 10**6)
-        )
+    pack = _gated_packing(n, kind, n, WALK_BYTES_CAP[kind], "type %s series" % kind.upper())
     q_ints = [pack.q_integer(k) for k in range(2 * n + 2)]
     moves = [(dh, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
     floor = motzkin.FLOOR[kind]
@@ -305,9 +315,91 @@ def _height_series(n, kind, start=None):
     return pack.unpack(sum(layer.values()))
 
 
+# -- the ascent walk ------------------------------------------------------------
+#
+# Whether i is an ascent depends on (theta_i, theta_{i+1}, alpha_i,
+# alpha_{i+1}, xi_{i+1}) only (see ascent_positions), so the a12 prefixes
+# of length i are summed by their state (h_i, theta_i, alpha_i), each sum
+# one packed value.  One step, `_ascent_step`, extends the states by a
+# position and splits the extensions by whether the position before is an
+# ascent.  Three walks read it: `_ascent_leaves` follows both branches
+# (`ascent_table` and symfun's Schur fold), and symfun's `ascent_sum` keeps
+# the branches its sets allow and merges them, so it holds two layers at
+# most.  A walk's working set is gated by `_gated_packing`.
+#
+# States are held as {(h_i, theta_i): [weight of alpha_i = 0, 1, ..., h_i - 1]}.
+
+
+def _ascent_step(states, pack, flat, rise):
+    """Extend the states after position i by position i+1, adding each
+    extension into the dict `rise` if i is an ascent and into `flat` if
+    not.  A branch given as None drops its extensions; flat and rise may
+    be one dict, which merges them.
+
+    Write c = alpha_{i+1} + xi_{i+1}.  By the rule of ascent_positions, i
+    is an ascent when alpha_i < c and theta_i = 0, or when alpha_i >= c
+    and theta_{i+1} = 1.  So for each new state the old alphas of one
+    (h_i, theta_i) split at c into two runs, and each run's weight is read
+    off a running sum, not added up alpha by alpha.
+    """
+    branches = (flat, rise)
+    floor = motzkin.FLOOR["a"]
+    for (h, t0), weights in states.items():
+        below = list(accumulate(weights, initial=0))  # below[c]: alpha_i < c
+        total = below[h]
+        for dh, t1, x1 in motzkin.STEPS:
+            h1 = h + dh
+            low, high = branches[not t0], branches[t1]
+            if h1 < floor:
+                continue
+            shift = pack.shift(0, t1, x1)
+            for a1 in range(h1):
+                c = min(a1 + x1, h)
+                runs = ((low, total),) if low is high else ((low, below[c]), (high, total - below[c]))
+                for branch, weight in runs:
+                    if branch is not None and weight:
+                        row = branch.setdefault((h1, t1), [0] * h1)
+                        row[a1] += weight << shift + pack.width * a1
+
+
+def _ascent_total(states):
+    """The sum of every weight of the states."""
+    return sum(map(sum, states.values()))
+
+
+def _ascent_leaves(n, pack):
+    """Yield (mask, packed polynomial) for every ascent set that occurs at
+    size n, depth first over the ascent bits, where bit i-1 of mask marks
+    i as an ascent.
+
+    The walk keeps the states of one ascent prefix per depth: a layer is
+    cleared once it has been stepped, so besides the path being walked
+    only the rise branches still to visit are held.  The work grows with
+    the 2^(n-1) ascent sets, not with the 2^(n-1) n! elements.
+    """
+
+    def walk(i, mask, states):
+        if i == n:
+            total = _ascent_total(states)
+            states.clear()
+            yield mask, total
+            return
+        flat, rise = {}, {}
+        _ascent_step(states, pack, flat, rise)
+        states.clear()  # the caller's branch: its weights live on in flat and rise
+        if flat:
+            yield from walk(i + 1, mask, flat)
+        if rise:
+            yield from walk(i + 1, mask | 1 << (i - 1), rise)
+
+    # the forced up-steps end at the floor, with no decoration and alpha = 0
+    floor = motzkin.FLOOR["a"]
+    yield from walk(floor, 0, {(floor, 0): [1]})
+
+
 # Largest ascent table, in term slots: 2^(n-1) ascent sets, each a
 # polynomial with at most (top x-degree + 1) q-degrees times n(n+1)/2
-# (u, v)-degrees.  Runs of frobenius, hmu and hook under a 1 GiB address
+# (u, v)-degrees.  Runs of frobenius --form qsym under a 1 GiB address
 # space peak at about 57 bytes a slot: 76 MB at n=10, 217 MB at n=11 and
 # 581-588 MB at n=12 (10.7 million slots).  n=13 has 29.4 million.
 TABLE_SLOTS_CAP = 15 * 10**6
@@ -319,15 +411,9 @@ def ascent_table(n):
 
     Returns ((mask, poly), ...) in mask order over the ascent sets that
     occur, where bit i-1 of mask marks i as an ascent and poly sums
-    q^deg_x u^deg_theta v^deg_xi over the elements with that ascent set.
-
-    Whether i is an ascent depends on (theta_i, theta_{i+1}, alpha_i,
-    alpha_{i+1}, xi_{i+1}) only (see ascent_positions), so the state after
-    position i is (h_i, theta_i, alpha_i) plus the ascents fixed so far.  A
-    depth-first walk over the ascent bits keeps one ascent prefix in memory
-    at a time; the work grows with the 2^(n-1) ascent sets, not with the
-    2^(n-1) n! elements.  A table of more term slots than
-    `TABLE_SLOTS_CAP` is refused before the walk starts.
+    q^deg_x u^deg_theta v^deg_xi over the elements with that ascent set:
+    the leaves of `_ascent_leaves`, held whole.  A table of more term
+    slots than `TABLE_SLOTS_CAP` is refused before the walk starts.
     """
     if n < 1:
         raise ValueError("ascent_table needs n >= 1")
@@ -344,40 +430,7 @@ def ascent_table(n):
             % (n, slots, TABLE_SLOTS_CAP)
         )
     pack = _Packing(n, "a")
-    moves = [(dh, t, x, pack.shift(0, t, x)) for dh, t, x in motzkin.STEPS]
-    floor = motzkin.FLOOR["a"]
-    out = []
-
-    def walk(i, mask, states):
-        # states maps (h_i, theta_i, alpha_i) to the packed weights of the
-        # length-i prefixes whose ascents among 1..i-1 are `mask`
-        if i == n:
-            out.append((mask, pack.unpack(sum(states.values()))))
-            return
-        branches = ({}, {})
-        for (h, t0, a0), value in states.items():
-            for dh, t1, x1, shift in moves:
-                h1 = h + dh
-                if h1 < floor:
-                    continue
-                value_1 = value << shift
-                for a1 in range(h1):
-                    if t0 != t1:
-                        rise = t0 < t1
-                    elif t0:
-                        rise = a0 >= a1 + x1
-                    else:
-                        rise = a0 < a1 + x1
-                    branch = branches[rise]
-                    key = (h1, t1, a1)
-                    branch[key] = branch.get(key, 0) + (value_1 << pack.width * a1)
-        for rise, branch in enumerate(branches):
-            if branch:
-                walk(i + 1, mask | rise << (i - 1), branch)
-
-    # the forced up-steps end at the floor, with no decoration and alpha = 0
-    walk(floor, 0, {(floor, 0, 0): 1})
-    return tuple(sorted(out))
+    return tuple(sorted((mask, pack.unpack(value)) for mask, value in _ascent_leaves(n, pack)))
 
 
 # -- enumeration --------------------------------------------------------------

@@ -7,9 +7,7 @@ input, 141 stdout closed by its reader.
 """
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from itertools import chain, islice
@@ -17,7 +15,8 @@ from itertools import chain, islice
 # Every command uses basis; the other layers are imported by the commands
 # that run them, so a command does not compile and load code it never
 # calls.  Start-up is most of a small command's time when no bytecode is
-# cached.
+# cached.  json and csv are imported, likewise, by the writers that use
+# them, so a text command loads neither.
 from . import basis
 from .combinat import Partition
 
@@ -94,17 +93,10 @@ def _print_json_list(items, to_json):
 
     Each slice of items is dumped as a list and its brackets cut off.
     """
+    import json
+
     encode = json.JSONEncoder(indent=2).encode
     _print_json_slices(encode([to_json(item) for item in part])[2:-2] for part in _slices(items))
-
-
-# Each cell type a table holds, as json.dumps writes it.
-_JSON_CELL = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda cell: "null",
-}
 
 
 def _print_json_rows(rows, header):
@@ -112,6 +104,15 @@ def _print_json_rows(rows, header):
     would, for rows of str, int, bool and None cells, each as long as the
     first: the keys are encoded once, into one %-template of an object,
     which each row fills with its encoded cells."""
+    import json
+
+    # each cell type a table holds, as json.dumps writes it
+    cell_text = {
+        str: json.encoder.encode_basestring_ascii,
+        int: int.__repr__,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): lambda cell: "null",
+    }
     rows = iter(rows)
     first = next(rows, None)
     if first is not None:
@@ -120,7 +121,7 @@ def _print_json_rows(rows, header):
             "    %s: %%s" % json.encoder.encode_basestring_ascii(key).replace("%", "%%")
             for key, _ in zip(header, first)
         )
-    _print_json_slices(",\n".join(template % tuple([_JSON_CELL[type(c)](c) for c in row]) for row in part)
+    _print_json_slices(",\n".join(template % tuple([cell_text[type(c)](c) for c in row]) for row in part)
                        for part in _slices(rows))
 
 
@@ -133,6 +134,8 @@ def _print_rows(rows, header, fmt):
     line without trailing spaces.
     """
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -170,6 +173,8 @@ def cmd_basis(args):
 def cmd_hilbert(args):
     poly = basis.hilbert_series(args.n, args.variant)
     if args.format == "json":
+        import json
+
         print(json.dumps(poly.to_json(), indent=2))
     elif args.format == "latex":
         print(poly.latex())
@@ -185,10 +190,13 @@ def cmd_frobenius(args):
     from . import symfun
 
     _check_kl(args)
-    expansion = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
     if args.form == "schur":
-        expansion = symfun.schur_expansion(expansion)
+        expansion = symfun.schur_fold(args.n, args.k, args.l)
+    else:
+        expansion = symfun.frobenius_qsym(args.n, k=args.k, l=args.l)
     if args.format == "json":
+        import json
+
         print(json.dumps(expansion.to_json(), indent=2))
     elif args.format == "csv":
         rows = [(expansion.label(key), str(c)) for key, c in expansion.sorted_items()]
@@ -242,6 +250,8 @@ def bijection_widths(n):
 
 def _csv_cell(text):
     """One cell as csv.writer writes it."""
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([text])
     return buf.getvalue()
@@ -262,6 +272,8 @@ def _bijection_lines(n, fmt):
     if fmt == "csv":
         return ",".join(["%s"] * len(BIJECTION_HEADER)) + "\n", _csv_cell
     if fmt == "json":
+        import json
+
         cells = ('"%s"', '"%s"', "%s", "%s", "%s", "%s")
         fields = ",\n".join("    %s: %s" % (json.dumps(key), cell) for key, cell in zip(BIJECTION_HEADER, cells))
         return "  {\n%s\n  }" % fields, json.encoder.encode_basestring_ascii
@@ -345,6 +357,8 @@ def cmd_oracle(args):
         raise ValueError("the n >= 4 oracle run is long; pass --long to enable it")
     poly, complete, report = oracle.hilbert_via_oracle(args.n, kind, max_x_degree=args.max_x_degree)
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "hilbert": poly.to_json(),
             "complete": complete,

@@ -6,12 +6,15 @@ Q_{S,n} weighted by QuvPolynomial coefficients; subsets S are the internal
 keys and the composition picture only appears at the Schur boundary.
 
 Every coefficient reads one of basis's two path-state engines, the ascent
-table or the path-height walk; none builds a basis element.
+walk (as its table, its layered sum or its leaves) or the path-height
+walk; none builds a basis element.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import basis as basis_mod
+from . import motzkin
 from .combinat import Composition, IndexSubset, Partition, comp_of_set, elements_of_mask, set_of_comp
 from .qpoly import ZERO, QuvPolynomial, q_binomial, q_power
 
@@ -138,9 +141,53 @@ def _restrict(poly, k, l):
     })
 
 
-def _q_slice(polys, k, l):
-    """The sum of the u^k v^l coefficients of polys, a polynomial in q."""
-    return sum((_restrict(poly, k, l) for poly in polys), ZERO).substitute(u=1, v=1)
+def _q_slice(poly, k, l):
+    """The u^k v^l coefficient of poly, a polynomial in q."""
+    return _restrict(poly, k, l).substitute(u=1, v=1)
+
+
+# Largest working set of an ascent walk, in bytes, as the walk estimates it:
+# up to n(n+1) states (h_i, theta_i, alpha_i) a layer, each a whole packed
+# value, times the layers it holds, 2 for ascent_sum and n for the Schur
+# fold.  Few states reach a whole value, so the peak is a fraction of the
+# estimate.  Set by runs under a 1 GiB address space: the sum at n=24 (an
+# estimate of 2,701 MB) peaks at 920 MB and at n=25 (3,703 MB) runs out of
+# memory; the fold peaks at 62 MB at n=13 (220 MB) and 107 MB at n=14
+# (426 MB), doubling with each n, so n=17 (2,078 MB) would take about
+# 720 MB and n=18 (3,080 MB) about 1.4 GB.  The fold's sums per partition,
+# 2 p(n) packed values and the output, grow faster than its layers.
+ASCENT_BYTES_CAP = 3000 * 10**6
+
+
+def _ascent_packing(n, walk, layers):
+    """The packing of an ascent walk of size n that holds up to `layers`
+    layers of states, refused, with the walk named as `walk`, past
+    `ASCENT_BYTES_CAP`."""
+    if n < 1:
+        raise ValueError("an ascent walk needs n >= 1")
+    return basis_mod._gated_packing(n, "a", layers * n * (n + 1), ASCENT_BYTES_CAP, walk)
+
+
+@lru_cache(maxsize=8)
+def ascent_sum(n, allowed, required):
+    """The sum of q^deg_x u^deg_theta v^deg_xi over the a12 elements of
+    size n whose ascent set A has required <= A <= allowed.
+
+    allowed and required hold positions in 1..n-1; any container that
+    `in` reads and lru_cache hashes will do (a tuple, a frozenset, a
+    range).  The walk goes layer by layer: at each position it keeps the
+    rise branch only where allowed holds the position and the flat branch
+    only where required does not, and merges the two, so it holds the
+    layer it steps and the next, not 2^(n-1) ascent prefixes.
+    """
+    pack = _ascent_packing(n, "ascent sum", 2)
+    floor = motzkin.FLOOR["a"]
+    states = {(floor, 0): [1]}
+    for i in range(floor, n):
+        layer = {}
+        basis_mod._ascent_step(states, pack, None if i in required else layer, layer if i in allowed else None)
+        states = layer
+    return pack.unpack(basis_mod._ascent_total(states))
 
 
 # -- slinky straightening ------------------------------------------------------
@@ -242,9 +289,33 @@ def schur_expansion(qsym):
     return out
 
 
+def schur_fold(n, k, l):
+    """The Schur form of the conjectural Frobenius series, restricted to
+    theta degree k and xi degree l (None: any degree), folded from the
+    ascent walk as it yields each ascent set's packed polynomial.
+
+    Each ascent set straightens to +-s_lambda or to nothing, and its
+    polynomial is added, still packed, into lambda's sum of that sign, so
+    no table is held: the walk's pending branches and two sums per
+    partition are.  It equals schur_expansion(frobenius_qsym(n, k, l)),
+    which stays as the reference.
+    """
+    pack = _ascent_packing(n, "Schur fold", n)
+    sums = {}  # (shape, sign) -> packed polynomial
+    for mask, value in basis_mod._ascent_leaves(n, pack):
+        sign, shape = slinky(comp_of_set(IndexSubset(elements_of_mask(mask, n), n)))
+        if sign:
+            sums[shape, sign] = sums.get((shape, sign), 0) + value
+    out = SchurExpansion(n)
+    for (shape, sign), value in sums.items():
+        poly = _restrict(pack.unpack(value), k, l)
+        out.add(shape, poly if sign > 0 else -poly)
+    return out
+
+
 def frobenius_schur(n):
     """Schur form of the conjectural Frobenius series."""
-    return schur_expansion(frobenius_qsym(n))
+    return schur_fold(n, None, None)
 
 
 # -- coefficient extraction ------------------------------------------------------
@@ -260,9 +331,8 @@ def h_mu_coefficient(n, k, l, mu):
         mu = mu.parts
     if sum(mu) != n:
         raise ValueError("mu must be a partition of n")
-    allowed = set_of_comp(Composition(tuple(mu))).bitmask()
-    inside = (poly for mask, poly in basis_mod.ascent_table(n) if not mask & ~allowed)
-    return _q_slice(inside, k, l)
+    allowed = set_of_comp(Composition(tuple(mu))).elements
+    return _q_slice(ascent_sum(n, allowed, ()), k, l)
 
 
 def hook_h_coefficient(n, k, l, d):
@@ -275,7 +345,7 @@ def hook_h_coefficient(n, k, l, d):
     """
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    return _q_slice([basis_mod._height_series(n, "a", d + 1)], k, l)
+    return _q_slice(basis_mod._height_series(n, "a", d + 1), k, l)
 
 
 def hook_schur_coefficient(n, k, l, d):
@@ -283,10 +353,8 @@ def hook_schur_coefficient(n, k, l, d):
     the elements with ascent set exactly {d+1,...,n-1}."""
     if not 0 <= d <= n - 1:
         raise ValueError("needs 0 <= d <= n-1")
-    table = basis_mod.ascent_table(n)  # refuses a huge n before interval is built
-    interval = (1 << (n - 1)) - (1 << d)
-    exact = (poly for mask, poly in table if mask == interval)
-    return _q_slice(exact, k, l)
+    interval = range(d + 1, n)
+    return _q_slice(ascent_sum(n, interval, interval), k, l)
 
 
 def choose2(a):

@@ -449,7 +449,7 @@ def check_h_mu_dual(m):
                     return "h_mu dual-path fails at n=%d mu=%s (k=%d,l=%d)" % (m, mu, k, l)
 
 
-@_check("hook-identities", 8)
+@_check("hook-identities", 12)
 def check_hook_identities(m):
     for d in range(m):
         for k in range(m):
@@ -462,7 +462,7 @@ def check_hook_identities(m):
                     return "sign character form fails at n=%d k=%d l=%d" % (m, k, l)
 
 
-@_check("hook-h-dual", 8)
+@_check("hook-h-dual", 12)
 def check_hook_h_dual(m):
     for d in range(m):
         mu = hook_partition(m, d)

@@ -810,18 +810,24 @@ def test_hilbert_below_the_walk_cap_runs_within_1_gib(tmp_path, argv, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [
-    ("frobenius", "--n", "13"),
-    ("frobenius", "--n", "13", "--form", "qsym", "--k", "1"),
-    ("hmu", "--n", "13", "--mu", "13"),
-    ("hook", "--n", "13"),
+@pytest.mark.parametrize("argv, reason", [
+    (("frobenius", "--n", "18"),
+     "the Schur fold at n=18 would hold about 3080 MB of packed values, over the cap of 3000 MB"),
+    (("frobenius", "--n", "13", "--form", "qsym", "--k", "1"),
+     "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000"),
+    (("hmu", "--n", "25", "--mu", "25"),
+     "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB"),
+    (("hook", "--n", "25"),
+     "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB"),
 ])
-def test_ascent_table_commands_refuse_n13_within_1_gib(tmp_path, argv):
-    """The table's size is known before its walk, so n = 13 exits 2 at
-    once; hmu --n 13 ran out of memory under 1 GiB after 83 s."""
+def test_ascent_table_commands_refuse_n13_within_1_gib(tmp_path, argv, reason):
+    """Each ascent walk's size is known before it starts, so the first n
+    over its cap exits 2 at once: the qsym table at n = 13 (hmu --n 13 ran
+    out of memory under 1 GiB after 83 s while it read that table), the
+    Schur fold at n = 18 and the ascent sum of hmu and hook at n = 25."""
     code, out, err, _, cpu = run_child(tmp_path, *argv)
     assert (code, out) == (2, b"")
-    assert err == "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000\n"
+    assert err == reason + "\n"
     assert cpu < 1
 
 
@@ -830,11 +836,11 @@ DIGITS_901 = "1" + "0" * 900
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (("hook", "--n", HUGE), "15000000"),
-    (("frobenius", "--n", HUGE), "15000000"),
-    (("hmu", "--n", HUGE, "--mu", HUGE), "15000000"),
-    (("hook", "--n", "100000"), "15000000"),
-    (("hmu", "--n", "30000", "--mu", "30000"), "15000000"),
+    (("hook", "--n", HUGE), "3000 MB"),
+    (("frobenius", "--n", HUGE), "3000 MB"),
+    (("hmu", "--n", HUGE, "--mu", HUGE), "3000 MB"),
+    (("hook", "--n", "100000"), "3000 MB"),
+    (("hmu", "--n", "30000", "--mu", "30000"), "3000 MB"),
     (("hilbert", "--n", DIGITS_901), "750 MB"),
 ])
 def test_huge_n_is_refused_by_its_cap_at_once(tmp_path, argv, cap):
@@ -1013,6 +1019,32 @@ def test_frobenius_n11_output_and_peak_memory(tmp_path):
     assert peak < 300 * 1024, peak
 
 
+@pytest.mark.skipif(
+    not os.environ.get("COINV_LONG"),
+    reason="the ascent sum and the Schur fold past the old table cap, in subprocesses; "
+           "set COINV_LONG=1 (about 1 minute)",
+)
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("argv, digest, bound", [
+    (("hmu", "--n", "16", "--mu", ",".join(["1"] * 16)),
+     "7811fc2c6d2a2857fdc05ac410280918774aa19288c128dc6651416d5264d7c9", 120),
+    (("hmu", "--n", "16", "--mu", "5,4,4,3"),
+     "4c1f1b99da63cfac26687dde107538fd01b87627ea2b5b1bb643df985b02c67c", 120),
+    (("hook", "--n", "16"), "9e80d8bd92d1c0e55f8bd8f9335aee7ac3055b68389639193b76b97934c1176f", 120),
+    (("frobenius", "--n", "13", "--form", "schur"),
+     "dea8b42c7c5b16c7af02964501722d05c19f2cf087582d32e94e52b91a6c8c9a", 120),
+], ids=["hmu-1^16", "hmu-5443", "hook", "frobenius-schur-13"])
+def test_ascent_walks_past_the_table_cap_run_within_1_gib(tmp_path, argv, digest, bound):
+    """hmu and hook read one layered ascent sum and the Schur form folds the
+    branching walk, so none holds the table that refused n = 13."""
+    code, out, err, peak, _ = run_child(tmp_path, *argv, timeout=600)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out).hexdigest() == digest
+    # the peak is in kB: about 54-64 MB for the sums at n = 16 and 62 MB
+    # for the fold at n = 13, which held the table to 585 MB at n = 12
+    assert peak < bound * 1024, peak
+
+
 def test_oracle_negative_max_x_degree_exits_2_before_any_piece(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a piece was eliminated")
@@ -1145,3 +1177,24 @@ def test_each_command_imports_only_the_layers_it_runs(argv, extra):
     assert code == "0"
     assert {m for m in loaded if m.startswith("coinv")} == CLI_CORE | extra
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv, writers", [
+    (("hilbert", "--n", "3"), set()),
+    (("frobenius", "--n", "3"), set()),
+    (("hmu", "--n", "3", "--mu", "2,1"), set()),
+    (("hook", "--n", "3", "--format", "csv"), {"csv"}),
+    (("frobenius", "--n", "3", "--format", "json"), {"json"}),
+    (("bijection", "--n", "3", "--format", "csv"), {"csv"}),
+])
+def test_json_and_csv_load_only_with_their_formats(argv, writers):
+    """A text command loads neither writer module; each format loads its own."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert {"json", "csv"} & set(loaded) == writers

@@ -112,6 +112,38 @@ def test_hook_schur_matches_enumeration():
                     assert symfun.hook_schur_coefficient(n, k, l, d) == expected, (n, d, k, l)
 
 
+def test_ascent_sum_and_schur_fold_match_the_ascent_table():
+    """The layered sum against the table's masks between its two sets, for
+    every mu, every hook and every (k, l) at n <= 8, and the Schur fold
+    against the reference straightening of the table, for every k/l filter
+    at n <= 7 and unfiltered at n = 8 (each fold walks again: every filter
+    at n = 8 would add about 3 s).  A sum that keeps a rise outside Set(mu)
+    and a fold that drops the shapes of sign -1 each fail here."""
+    for n in range(1, 9):
+        table = basis.ascent_table(n)
+        for mu in enumerate_partitions(n):
+            allowed = set_of_comp(Composition(mu.parts))
+            inside = sum((poly for mask, poly in table if not mask & ~allowed.bitmask()), QuvPolynomial())
+            assert symfun.ascent_sum(n, allowed.elements, ()) == inside, (n, mu)
+            for k in range(n):
+                for l in range(n - k):
+                    expected = symfun._restrict(inside, k, l).substitute(u=1, v=1)
+                    assert symfun.h_mu_coefficient(n, k, l, mu) == expected, (n, mu, k, l)
+        for d in range(n):
+            interval = (1 << (n - 1)) - (1 << d)
+            exact = sum((poly for mask, poly in table if mask == interval), QuvPolynomial())
+            for k in range(n):
+                for l in range(n - k):
+                    expected = symfun._restrict(exact, k, l).substitute(u=1, v=1)
+                    assert symfun.hook_schur_coefficient(n, k, l, d) == expected, (n, d, k, l)
+        degrees = [None, *range(n)] if n < 8 else [None]
+        for k in degrees:
+            for l in degrees:
+                reference = symfun.schur_expansion(symfun.frobenius_qsym(n, k=k, l=l))
+                assert symfun.schur_fold(n, k, l) == reference, (n, k, l)
+        assert symfun.frobenius_schur(n) == symfun.schur_expansion(symfun.frobenius_qsym(n)), n
+
+
 def test_engine_never_enumerates(monkeypatch):
     def refuse(*args):
         raise AssertionError("the engine must not enumerate")
@@ -198,3 +230,25 @@ def test_every_variant_and_count_basis_are_refused_past_the_walk_cap(variant):
         hilbert_series(n, variant)
     with pytest.raises(ValueError, match="over the cap"):
         basis.count_basis(n, variant)
+
+
+def test_ascent_cap_sits_between_the_largest_walks_that_fit_in_1_gib_and_the_next(monkeypatch):
+    """The ascent sum at n=24 finishes under a 1 GiB address space and n=25
+    runs out of memory (measured; see symfun.ASCENT_BYTES_CAP); the Schur
+    fold passes the gate at n=17 and is refused at 18.  Each walk is
+    stopped where it would take its first step, so nothing runs."""
+
+    def started(*args):
+        raise WalkStarted
+
+    monkeypatch.setattr(basis, "_ascent_step", started)
+    with pytest.raises(WalkStarted):
+        symfun.ascent_sum.__wrapped__(24, range(1, 24), ())
+    with pytest.raises(WalkStarted):
+        symfun.schur_fold(17, None, None)
+    with pytest.raises(ValueError) as exc:
+        symfun.ascent_sum.__wrapped__(25, range(1, 25), ())
+    assert str(exc.value) == "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB"
+    with pytest.raises(ValueError) as exc:
+        symfun.schur_fold(18, None, None)
+    assert str(exc.value) == "the Schur fold at n=18 would hold about 3080 MB of packed values, over the cap of 3000 MB"

@@ -35,8 +35,8 @@ def test_checks_run_in_order_at_their_limits():
         ("frobenius-routes", 6),
         ("symmetry-witness", 8),
         ("h-mu-dual", 8),
-        ("hook-identities", 8),
-        ("hook-h-dual", 8),
+        ("hook-identities", 12),
+        ("hook-h-dual", 12),
         ("hook-characterization", 7),
         ("frobenius-specializations", 8),
         ("slinky", 8),

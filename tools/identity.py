@@ -96,10 +96,10 @@ MATRIX = _frobenius() + _basis() + _hilbert() + _tables() + [
     ("hilbert", "--n", "38"),
     ("hilbert", "--n", "31", "--variant", "b11"),
     ("hilbert", "--n", "10000000", "--variant", "b12"),
-    # refused: the ascent table over its cap
-    ("frobenius", "--n", "13"),
-    ("hmu", "--n", "13", "--mu", "13"),
-    ("hook", "--n", "13"),
+    # refused: the Schur fold and the ascent sum over their cap
+    ("frobenius", "--n", "18"),
+    ("hmu", "--n", "25", "--mu", "25"),
+    ("hook", "--n", "25"),
     ("hook", "--n", "1" + "0" * 20),
     # refused: invalid input
     ("hmu", "--n", "3", "--mu", "2,2"),
