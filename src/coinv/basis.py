@@ -315,88 +315,6 @@ def _height_series(n, kind, start=None):
     return pack.unpack(sum(layer.values()))
 
 
-# -- the ascent walk ------------------------------------------------------------
-#
-# Whether i is an ascent depends on (theta_i, theta_{i+1}, alpha_i,
-# alpha_{i+1}, xi_{i+1}) only (see ascent_positions), so the a12 prefixes
-# of length i are summed by their state (h_i, theta_i, alpha_i), each sum
-# one packed value.  One step, `_ascent_step`, extends the states by a
-# position and splits the extensions by whether the position before is an
-# ascent.  Three walks read it: `_ascent_leaves` follows both branches
-# (`ascent_table` and symfun's Schur fold), and symfun's `ascent_sum` keeps
-# the branches its sets allow and merges them, so it holds two layers at
-# most.  A walk's working set is gated by `_gated_packing`.
-#
-# States are held as {(h_i, theta_i): [weight of alpha_i = 0, 1, ..., h_i - 1]}.
-
-
-def _ascent_step(states, pack, flat, rise):
-    """Extend the states after position i by position i+1, adding each
-    extension into the dict `rise` if i is an ascent and into `flat` if
-    not.  A branch given as None drops its extensions; flat and rise may
-    be one dict, which merges them.
-
-    Write c = alpha_{i+1} + xi_{i+1}.  By the rule of ascent_positions, i
-    is an ascent when alpha_i < c and theta_i = 0, or when alpha_i >= c
-    and theta_{i+1} = 1.  So for each new state the old alphas of one
-    (h_i, theta_i) split at c into two runs, and each run's weight is read
-    off a running sum, not added up alpha by alpha.
-    """
-    branches = (flat, rise)
-    floor = motzkin.FLOOR["a"]
-    for (h, t0), weights in states.items():
-        below = list(accumulate(weights, initial=0))  # below[c]: alpha_i < c
-        total = below[h]
-        for dh, t1, x1 in motzkin.STEPS:
-            h1 = h + dh
-            low, high = branches[not t0], branches[t1]
-            if h1 < floor:
-                continue
-            shift = pack.shift(0, t1, x1)
-            for a1 in range(h1):
-                c = min(a1 + x1, h)
-                runs = ((low, total),) if low is high else ((low, below[c]), (high, total - below[c]))
-                for branch, weight in runs:
-                    if branch is not None and weight:
-                        row = branch.setdefault((h1, t1), [0] * h1)
-                        row[a1] += weight << shift + pack.width * a1
-
-
-def _ascent_total(states):
-    """The sum of every weight of the states."""
-    return sum(map(sum, states.values()))
-
-
-def _ascent_leaves(n, pack):
-    """Yield (mask, packed polynomial) for every ascent set that occurs at
-    size n, depth first over the ascent bits, where bit i-1 of mask marks
-    i as an ascent.
-
-    The walk keeps the states of one ascent prefix per depth: a layer is
-    cleared once it has been stepped, so besides the path being walked
-    only the rise branches still to visit are held.  The work grows with
-    the 2^(n-1) ascent sets, not with the 2^(n-1) n! elements.
-    """
-
-    def walk(i, mask, states):
-        if i == n:
-            total = _ascent_total(states)
-            states.clear()
-            yield mask, total
-            return
-        flat, rise = {}, {}
-        _ascent_step(states, pack, flat, rise)
-        states.clear()  # the caller's branch: its weights live on in flat and rise
-        if flat:
-            yield from walk(i + 1, mask, flat)
-        if rise:
-            yield from walk(i + 1, mask | 1 << (i - 1), rise)
-
-    # the forced up-steps end at the floor, with no decoration and alpha = 0
-    floor = motzkin.FLOOR["a"]
-    yield from walk(floor, 0, {(floor, 0): [1]})
-
-
 # Largest ascent table, in term slots: 2^(n-1) ascent sets, each a
 # polynomial with at most (top x-degree + 1) q-degrees times n(n+1)/2
 # (u, v)-degrees.  Runs of frobenius --form qsym under a 1 GiB address
@@ -412,8 +330,9 @@ def ascent_table(n):
     Returns ((mask, poly), ...) in mask order over the ascent sets that
     occur, where bit i-1 of mask marks i as an ascent and poly sums
     q^deg_x u^deg_theta v^deg_xi over the elements with that ascent set:
-    the leaves of `_ascent_leaves`, held whole.  A table of more term
-    slots than `TABLE_SLOTS_CAP` is refused before the walk starts.
+    the leaves of the ascent walk (symfun._ascent_leaves), held whole.  A
+    table of more term slots than `TABLE_SLOTS_CAP` is refused before the
+    walk starts.
     """
     if n < 1:
         raise ValueError("ascent_table needs n >= 1")
@@ -429,6 +348,10 @@ def ascent_table(n):
             "the ascent table at n=%d would have up to %d terms, over the cap of %d"
             % (n, slots, TABLE_SLOTS_CAP)
         )
+    # the walk lives with the series that read it, so a command that never
+    # reads it does not compile it
+    from .symfun import _ascent_leaves
+
     pack = _Packing(n, "a")
     return tuple(sorted((mask, pack.unpack(value)) for mask, value in _ascent_leaves(n, pack)))
 

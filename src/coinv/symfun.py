@@ -5,12 +5,13 @@ The Frobenius series is a sum of fundamental quasisymmetric functions
 Q_{S,n} weighted by QuvPolynomial coefficients; subsets S are the internal
 keys and the composition picture only appears at the Schur boundary.
 
-Every coefficient reads one of basis's two path-state engines, the ascent
-walk (as its table, its layered sum or its leaves) or the path-height
-walk; none builds a basis element.
+Every coefficient reads one of two path-state engines, the ascent walk
+below (as basis.ascent_table, its layered sum or its leaves) or basis's
+path-height walk; none builds a basis element.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import basis as basis_mod
@@ -146,6 +147,90 @@ def _q_slice(poly, k, l):
     return _restrict(poly, k, l).substitute(u=1, v=1)
 
 
+# -- the ascent walk ------------------------------------------------------------
+#
+# Whether i is an ascent depends on (theta_i, theta_{i+1}, alpha_i,
+# alpha_{i+1}, xi_{i+1}) only (see basis.ascent_positions), so the a12
+# prefixes of length i are summed by their state (h_i, theta_i, alpha_i),
+# each sum one packed value (basis._Packing).  One step, `_ascent_step`,
+# extends the states by a position and splits the extensions by whether
+# the position before is an ascent.  Three walks read it: `_ascent_leaves`
+# follows both branches (basis.ascent_table and `schur_fold`), and
+# `ascent_sum` keeps the branches its sets allow and merges them, so it
+# holds two layers at most.  A walk's working set is gated by
+# `_ascent_packing`.  The walk lives here, not in basis, because every
+# command imports basis and, with no bytecode cached, compiles all of it.
+#
+# States are held as {(h_i, theta_i): [weight of alpha_i = 0, 1, ..., h_i - 1]}.
+
+
+def _ascent_step(states, pack, flat, rise):
+    """Extend the states after position i by position i+1, adding each
+    extension into the dict `rise` if i is an ascent and into `flat` if
+    not.  A branch given as None drops its extensions; flat and rise may
+    be one dict, which merges them.
+
+    Write c = alpha_{i+1} + xi_{i+1}.  By the rule of ascent_positions, i
+    is an ascent when alpha_i < c and theta_i = 0, or when alpha_i >= c
+    and theta_{i+1} = 1.  So for each new state the old alphas of one
+    (h_i, theta_i) split at c into two runs, and each run's weight is read
+    off a running sum, not added up alpha by alpha.
+    """
+    branches = (flat, rise)
+    floor = motzkin.FLOOR["a"]
+    for (h, t0), weights in states.items():
+        below = list(accumulate(weights, initial=0))  # below[c]: alpha_i < c
+        total = below[h]
+        for dh, t1, x1 in motzkin.STEPS:
+            h1 = h + dh
+            if h1 < floor:
+                continue
+            low, high = branches[not t0], branches[t1]
+            shift = pack.shift(0, t1, x1)
+            for a1 in range(h1):
+                c = min(a1 + x1, h)
+                runs = ((low, total),) if low is high else ((low, below[c]), (high, total - below[c]))
+                for branch, weight in runs:
+                    if branch is not None and weight:
+                        row = branch.setdefault((h1, t1), [0] * h1)
+                        row[a1] += weight << shift + pack.width * a1
+
+
+def _ascent_total(states):
+    """The sum of every weight of the states."""
+    return sum(map(sum, states.values()))
+
+
+def _ascent_leaves(n, pack):
+    """Yield (mask, packed polynomial) for every ascent set that occurs at
+    size n, depth first over the ascent bits, where bit i-1 of mask marks
+    i as an ascent.
+
+    The walk keeps the states of one ascent prefix per depth: a layer is
+    cleared once it has been stepped, so besides the path being walked
+    only the rise branches still to visit are held.  The work grows with
+    the 2^(n-1) ascent sets, not with the 2^(n-1) n! elements.
+    """
+
+    def walk(i, mask, states):
+        if i == n:
+            total = _ascent_total(states)
+            states.clear()
+            yield mask, total
+            return
+        flat, rise = {}, {}
+        _ascent_step(states, pack, flat, rise)
+        states.clear()  # the caller's branch: its weights live on in flat and rise
+        if flat:
+            yield from walk(i + 1, mask, flat)
+        if rise:
+            yield from walk(i + 1, mask | 1 << (i - 1), rise)
+
+    # the forced up-steps end at the floor, with no decoration and alpha = 0
+    floor = motzkin.FLOOR["a"]
+    yield from walk(floor, 0, {(floor, 0): [1]})
+
+
 # Largest working set of an ascent walk, in bytes, as the walk estimates it:
 # up to n(n+1) states (h_i, theta_i, alpha_i) a layer, each a whole packed
 # value, times the layers it holds, 2 for ascent_sum and n for the Schur
@@ -185,9 +270,9 @@ def ascent_sum(n, allowed, required):
     states = {(floor, 0): [1]}
     for i in range(floor, n):
         layer = {}
-        basis_mod._ascent_step(states, pack, None if i in required else layer, layer if i in allowed else None)
+        _ascent_step(states, pack, None if i in required else layer, layer if i in allowed else None)
         states = layer
-    return pack.unpack(basis_mod._ascent_total(states))
+    return pack.unpack(_ascent_total(states))
 
 
 # -- slinky straightening ------------------------------------------------------
@@ -302,7 +387,7 @@ def schur_fold(n, k, l):
     """
     pack = _ascent_packing(n, "Schur fold", n)
     sums = {}  # (shape, sign) -> packed polynomial
-    for mask, value in basis_mod._ascent_leaves(n, pack):
+    for mask, value in _ascent_leaves(n, pack):
         sign, shape = slinky(comp_of_set(IndexSubset(elements_of_mask(mask, n), n)))
         if sign:
             sums[shape, sign] = sums.get((shape, sign), 0) + value

@@ -810,24 +810,28 @@ def test_hilbert_below_the_walk_cap_runs_within_1_gib(tmp_path, argv, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (("frobenius", "--n", "18"),
-     "the Schur fold at n=18 would hold about 3080 MB of packed values, over the cap of 3000 MB"),
-    (("frobenius", "--n", "13", "--form", "qsym", "--k", "1"),
-     "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000"),
-    (("hmu", "--n", "25", "--mu", "25"),
-     "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB"),
-    (("hook", "--n", "25"),
-     "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB"),
-])
-def test_ascent_table_commands_refuse_n13_within_1_gib(tmp_path, argv, reason):
+# The first refused n of each ascent walk, with its reason.
+ASCENT_REFUSALS = {
+    ("frobenius", "--n", "18"):
+        "the Schur fold at n=18 would hold about 3080 MB of packed values, over the cap of 3000 MB",
+    ("frobenius", "--n", "13", "--form", "qsym", "--k", "1"):
+        "the ascent table at n=13 would have up to 29446144 terms, over the cap of 15000000",
+    ("hmu", "--n", "25", "--mu", "25"):
+        "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB",
+    ("hook", "--n", "25"):
+        "the ascent sum at n=25 would hold about 3703 MB of packed values, over the cap of 3000 MB",
+}
+
+
+@pytest.mark.parametrize("argv", list(ASCENT_REFUSALS))
+def test_ascent_table_commands_refuse_n13_within_1_gib(tmp_path, argv):
     """Each ascent walk's size is known before it starts, so the first n
     over its cap exits 2 at once: the qsym table at n = 13 (hmu --n 13 ran
     out of memory under 1 GiB after 83 s while it read that table), the
     Schur fold at n = 18 and the ascent sum of hmu and hook at n = 25."""
     code, out, err, _, cpu = run_child(tmp_path, *argv)
     assert (code, out) == (2, b"")
-    assert err == reason + "\n"
+    assert err == ASCENT_REFUSALS[argv] + "\n"
     assert cpu < 1
 
 

@@ -241,7 +241,7 @@ def test_ascent_cap_sits_between_the_largest_walks_that_fit_in_1_gib_and_the_nex
     def started(*args):
         raise WalkStarted
 
-    monkeypatch.setattr(basis, "_ascent_step", started)
+    monkeypatch.setattr(symfun, "_ascent_step", started)
     with pytest.raises(WalkStarted):
         symfun.ascent_sum.__wrapped__(24, range(1, 24), ())
     with pytest.raises(WalkStarted):
