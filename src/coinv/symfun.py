@@ -154,8 +154,9 @@ def _q_slice(poly, k, l):
 # prefixes of length i are summed by their state (h_i, theta_i, alpha_i),
 # each sum one packed value (basis._Packing).  One step, `_ascent_step`,
 # extends the states by a position and splits the extensions by whether
-# the position before is an ascent.  Three walks read it: `_ascent_leaves`
-# follows both branches (basis.ascent_table and `schur_fold`), and
+# the position before is an ascent.  Three walks read it: `_ascent_walk`
+# follows both branches, every one for basis.ascent_table and those that
+# can straighten to a Schur term for `schur_fold`, and
 # `ascent_sum` keeps the branches its sets allow and merges them, so it
 # holds two layers at most.  A walk's working set is gated by
 # `_ascent_packing`.  The walk lives here, not in basis, because every
@@ -204,7 +205,14 @@ def _ascent_total(states):
 def _ascent_leaves(n, pack):
     """Yield (mask, packed polynomial) for every ascent set that occurs at
     size n, depth first over the ascent bits, where bit i-1 of mask marks
-    i as an ascent.
+    i as an ascent."""
+    return _ascent_walk(n, pack, None)
+
+
+def _ascent_walk(n, pack, live):
+    """The leaves of _ascent_leaves whose prefixes `live` keeps: a rise at
+    i after the ascents of mask is walked only if live(mask, i) holds, or
+    always when live is None.
 
     The walk keeps the states of one ascent prefix per depth: a layer is
     cleared once it has been stepped, so besides the path being walked
@@ -218,7 +226,7 @@ def _ascent_leaves(n, pack):
             states.clear()
             yield mask, total
             return
-        flat, rise = {}, {}
+        flat, rise = {}, {} if live is None or live(mask, i) else None
         _ascent_step(states, pack, flat, rise)
         states.clear()  # the caller's branch: its weights live on in flat and rise
         if flat:
@@ -374,6 +382,25 @@ def schur_expansion(qsym):
     return out
 
 
+def _rise_may_straighten(mask, i):
+    """Whether some ascent set that holds i and the ascents of mask below
+    it can straighten to a nonzero term.
+
+    The parts of Comp(S) up to its element i are the first parts of every
+    completion of the prefix, and straighten kills a composition whose
+    shifted parts part_j - j repeat.  So the rise is dead when the part it
+    closes repeats the shifted value of an earlier part; earlier repeats
+    were cut at their own rise.
+    """
+    last, parts, shifted = 0, 0, set()
+    for j in range(1, i):
+        if mask >> (j - 1) & 1:
+            parts += 1
+            shifted.add(j - last - parts)
+            last = j
+    return i - last - parts - 1 not in shifted
+
+
 def schur_fold(n, k, l):
     """The Schur form of the conjectural Frobenius series, restricted to
     theta degree k and xi degree l (None: any degree), folded from the
@@ -382,12 +409,14 @@ def schur_fold(n, k, l):
     Each ascent set straightens to +-s_lambda or to nothing, and its
     polynomial is added, still packed, into lambda's sum of that sign, so
     no table is held: the walk's pending branches and two sums per
-    partition are.  It equals schur_expansion(frobenius_qsym(n, k, l)),
-    which stays as the reference.
+    partition are.  The walk skips each rise after which every ascent set
+    straightens to nothing (_rise_may_straighten): at n = 14 it reaches
+    1,510 of the 8,192 ascent sets, 986 of them nonzero.  It equals
+    schur_expansion(frobenius_qsym(n, k, l)), which stays as the reference.
     """
     pack = _ascent_packing(n, "Schur fold", n)
     sums = {}  # (shape, sign) -> packed polynomial
-    for mask, value in _ascent_leaves(n, pack):
+    for mask, value in _ascent_walk(n, pack, _rise_may_straighten):
         sign, shape = slinky(comp_of_set(IndexSubset(elements_of_mask(mask, n), n)))
         if sign:
             sums[shape, sign] = sums.get((shape, sign), 0) + value

@@ -4,9 +4,13 @@ Each check replays one of the package's mathematical guarantees over an
 exhaustive small range and returns None on success or a short witness
 string on the first counterexample.  A check runs at the n it is given;
 run_all lowers the requested n to the limit on the check's @_check line
-and says so on stderr.
+and says so on stderr.  run_all runs the checks in one lane per usable
+CPU and prints their lines in check order.
 """
 
+import os
+import select
+import struct
 import sys
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -563,6 +567,54 @@ ALL_CHECKS = [(name, check) for name, check, _ in CHECKS]
 LIMITS = {name: limit for name, _, limit in CHECKS}
 
 
+# A lane is a process that claims checks and runs them: the caller, and one
+# worker forked per further usable CPU.  A worker sends the caller each
+# result as a header (check index, what, witness length) and the witness.
+_MESSAGE = struct.Struct("<HBI")
+_PASSED, _FAILED, _RAISED = range(3)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _claim(claims):
+    """The index of the next unclaimed check, or None once none is left."""
+    byte = os.read(claims, 1)
+    return byte[0] if byte else None
+
+
+def _run(check, m, claims):
+    """check(m), or _RAISED if it raised.  A failure empties the claims,
+    so no lane starts a check after it."""
+    try:
+        witness = check(m)
+    except Exception:
+        return _RAISED
+    if witness is not None:
+        while os.read(claims, 256):
+            pass
+    return witness
+
+
+def _work(jobs, claims, out, parent):
+    """A worker's lane: run the checks it claims and send their results
+    through out, until no check is left or its parent is gone."""
+    while os.getppid() == parent:
+        i = _claim(claims)
+        if i is None:
+            return
+        witness = _run(jobs[i][1], jobs[i][2], claims)
+        what = _RAISED if witness == _RAISED else _PASSED if witness is None else _FAILED
+        data = witness.encode() if what == _FAILED else b""
+        data = _MESSAGE.pack(i, what, len(data)) + data
+        while data:
+            data = data[os.write(out, data):]
+
+
 def run_all(n):
     """Run every check at n lowered to its limit; stop at the first failure.
 
@@ -570,15 +622,102 @@ def run_all(n):
     below the requested n is named on stderr, so the report lines do not
     depend on n beyond the checks' results.  Returns 0 when everything
     passes, 1 otherwise.
+
+    The checks run in one lane per usable CPU: this process and a forked
+    worker per further CPU.  Every lane takes the next unclaimed check
+    from one pipe, filled with one byte per check index, so the load
+    balances as the checks run.  The lines are printed in check order, each
+    as soon as every earlier check is known, so stdout, stderr and the exit
+    code are those of running the checks one by one:
+    * a FAIL empties the pipe, so no lane starts a later check, and
+      results after it are dropped;
+    * a check that raised in a lane is run again here at its turn, so its
+      exception surfaces where it would have;
+    * checks that a worker never reported, as when it died, are run here
+      once no worker is left.
+    The workers are killed and reaped before this returns or raises.
     """
-    for name, fn in ALL_CHECKS:
-        m = min(n, LIMITS[name])
-        witness = fn(m)
-        if m < n:
-            print("verify: %s ran at n=%d (asked %d)" % (name, m, n), file=sys.stderr)
-        if witness is None:
+    jobs = [(name, fn, min(n, LIMITS[name])) for name, fn in ALL_CHECKS]
+    lanes = min(_usable_cpus(), len(jobs)) if hasattr(os, "fork") else 1
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))  # one byte an index: at most 256 checks
+    os.close(fill)
+    parent = os.getpid()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = {}  # read end of a worker's pipe -> its pid
+    try:
+        for _ in range(lanes - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for fd in (read, *workers):
+                        os.close(fd)
+                    quiet = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(quiet, 1)
+                    os.dup2(quiet, 2)
+                    _work(jobs, claims, write, parent)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers[read] = pid
+        return _collect(n, jobs, claims, workers)
+    finally:
+        for fd, pid in workers.items():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(fd)
+        os.close(claims)
+
+
+def _collect(n, jobs, claims, workers):
+    """Run checks in this lane and print every check's lines in order,
+    reading the workers' results as they come."""
+    results = {}  # check index -> witness, or _RAISED
+    pending = {fd: bytearray() for fd in workers}  # the live workers' unread bytes
+
+    def receive(timeout):
+        for fd in select.select(list(pending), [], [], timeout)[0]:
+            data = os.read(fd, 1 << 16)
+            if not data:  # the worker has exited
+                del pending[fd]
+                continue
+            buffer = pending[fd]
+            buffer += data
+            while len(buffer) >= _MESSAGE.size:
+                i, what, size = _MESSAGE.unpack_from(buffer)
+                end = _MESSAGE.size + size
+                if len(buffer) < end:
+                    break
+                results[i] = buffer[_MESSAGE.size:end].decode() if what == _FAILED else (
+                    _RAISED if what == _RAISED else None)
+                del buffer[:end]
+
+    claiming = True
+    turn = 0
+    while turn < len(jobs):
+        name, fn, m = jobs[turn]
+        if pending and turn not in results:
+            receive(0)
+        if turn in results and results[turn] != _RAISED:
+            witness = results[turn]
+            if m < n:
+                print("verify: %s ran at n=%d (asked %d)" % (name, m, n), file=sys.stderr)
+            if witness is not None:
+                print("FAIL %s: %s" % (name, witness))
+                return 1
             print("ok   %s" % name)
+            turn += 1
+        elif claiming and turn not in results:
+            i = _claim(claims)
+            if i is None:
+                claiming = False
+            else:
+                results[i] = _run(jobs[i][1], jobs[i][2], claims)
+        elif turn in results or not pending:
+            # it raised in a lane, or no worker is left to report it: run it at its turn
+            results[turn] = fn(m)
         else:
-            print("FAIL %s: %s" % (name, witness))
-            return 1
+            receive(None)
     return 0

@@ -240,21 +240,25 @@ def test_bijection_n7_json_and_text_are_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Runs coinv as `python -m coinv.cli` does, and at exit writes the process's
-# own peak resident set (VmHWM, in kB) to the file named by its first
-# argument, or nothing where there is no /proc/self/status.  The child's
-# ru_maxrss, as os.wait4 returns it, will not do: on Linux it also counts
-# the resident set of the process that spawned it.
+# Runs coinv as `python -m coinv.cli` does, and at exit writes its peak
+# resident set in kB to the file named by its first argument, or nothing
+# where there is no /proc/self/status.  The peak is the larger of the
+# process's own (VmHWM) and that of its largest reaped child, so it covers
+# verify's lanes: they are forked, not started afresh, and each counts the
+# pages it shares with the process.  The process's ru_maxrss, as os.wait4
+# returns it, will not do: on Linux it also counts the resident set of the
+# process that spawned it.
 PEAK_PROBE = """\
-import atexit, os, runpy, sys
+import atexit, os, resource, runpy, sys
 
 def record(path=sys.argv.pop(1)):
     if not os.path.exists("/proc/self/status"):
         return
     with open("/proc/self/status") as status:
-        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+        peak = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     with open(path, "w") as out:
-        out.write(peak)
+        out.write(str(peak))
 
 atexit.register(record)
 runpy.run_module("coinv.cli", run_name="__main__", alter_sys=True)

@@ -144,6 +144,23 @@ def test_ascent_sum_and_schur_fold_match_the_ascent_table():
         assert symfun.frobenius_schur(n) == symfun.schur_expansion(symfun.frobenius_qsym(n)), n
 
 
+def test_the_schur_fold_skips_only_ascent_sets_that_straighten_to_nothing():
+    """An ascent set is walked when each of its rises passes
+    _rise_may_straighten; every set skipped straightens to zero, and at
+    n = 12 the walk reads 549 of the 2,048 sets, 378 of them nonzero."""
+    for n in range(1, 13):
+        walked = nonzero = 0
+        for mask in range(1 << (n - 1)):
+            rises = [i for i in range(1, n) if mask >> (i - 1) & 1]
+            kept = all(symfun._rise_may_straighten(mask & ((1 << (i - 1)) - 1), i) for i in rises)
+            sign = symfun.straighten(Composition(tuple(b - a for a, b in zip([0, *rises], [*rises, n])))).sign
+            assert kept or not sign, (n, rises)
+            walked += kept
+            nonzero += sign != 0
+        if n == 12:
+            assert (walked, nonzero) == (549, 378)
+
+
 def test_engine_never_enumerates(monkeypatch):
     def refuse(*args):
         raise AssertionError("the engine must not enumerate")

@@ -1,9 +1,12 @@
 """The verify checks: their rewritten references against the versions they
 replaced, and each check against a broken engine, which it must catch."""
 
+import os
+import time
+
 import pytest
 
-from coinv import basis, motzkin, smirnov, symfun, verify
+from coinv import basis, cli, motzkin, smirnov, symfun, verify
 from coinv.combinat import Composition, IndexSubset
 from coinv.qpoly import ZERO, QuvPolynomial, q_power
 from coinv.smirnov import SegmentedWord
@@ -682,3 +685,147 @@ def test_slinky_catches_a_hook_read_backwards(monkeypatch):
     # (2, 1) read as the composition (1, 2), which straightens to zero
     monkeypatch.setattr(verify, "Composition", lambda parts: Composition(tuple(parts)[::-1]))
     assert verify.check_slinky(3) == "hook composition does not fix itself at n=3 d=1"
+
+
+# -- the lanes -------------------------------------------------------------------
+
+
+def run_lanes(capsys, monkeypatch, cpus, *argv):
+    """`verify argv` through cli.main with `cpus` usable CPUs, as (exit code
+    or the type of the exception it raised, stdout, stderr).  Every worker
+    must be reaped by then."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        try:
+            code = cli.main(["verify", *argv])
+        except Exception as exc:
+            code = type(exc)
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, out, err
+
+
+def as_one_lane(capsys, monkeypatch, *argv):
+    """The run on three lanes, checked against the one-lane run."""
+    many = run_lanes(capsys, monkeypatch, 3, *argv)
+    assert many == run_lanes(capsys, monkeypatch, 1, *argv)
+    return many
+
+
+def patch_check(monkeypatch, index, body):
+    """Check `index` runs body(check, m) in place of check(m)."""
+    checks = list(verify.ALL_CHECKS)
+    name, check = checks[index]
+    checks[index] = (name, lambda m: body(check, m))
+    monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+
+
+def ok_lines(stop=None):
+    return "".join("ok   %s\n" % name for name, _ in verify.ALL_CHECKS[:stop])
+
+
+def test_lanes_print_in_check_order(capsys, monkeypatch):
+    # the first check ends last, so its line waits for it
+    patch_check(monkeypatch, 0, lambda check, m: time.sleep(0.3) or check(m))
+    assert as_one_lane(capsys, monkeypatch, "--n", "4") == (0, ok_lines(), "".join(
+        "verify: %s ran at n=%d (asked 4)\n" % (name, limit) for name, _, limit in verify.CHECKS if limit < 4
+    ))
+
+
+@pytest.mark.parametrize("index", [0, 13, 25])
+def test_lanes_stop_at_the_first_failure(capsys, monkeypatch, index):
+    patch_check(monkeypatch, index, lambda check, m: "forced at %d" % m)
+    name = verify.ALL_CHECKS[index][0]
+    code, out, _ = as_one_lane(capsys, monkeypatch, "--n", "2")
+    assert (code, out) == (1, ok_lines(index) + "FAIL %s: forced at 2\n" % name)
+
+
+def test_no_lane_starts_a_check_above_a_known_failure(capsys, monkeypatch, tmp_path):
+    started = tmp_path / "started"
+
+    def record(index, body):
+        def run(check, m):
+            with open(started, "a") as f:
+                f.write("%d\n" % index)
+            return body(check, m)
+
+        patch_check(monkeypatch, index, run)
+
+    # the other two lanes are busy in checks 1 and 2 when check 0 fails
+    record(0, lambda check, m: "forced")
+    for index in range(1, len(verify.ALL_CHECKS)):
+        record(index, lambda check, m: time.sleep(0.3) or check(m))
+    code, out, _ = run_lanes(capsys, monkeypatch, 3, "--n", "2")
+    assert (code, out) == (1, "FAIL q-pascal: forced\n")
+    assert set(started.read_text().split()) <= {"0", "1", "2"}
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_a_refusal_in_a_check_exits_2_after_the_lines_before_it(capsys, monkeypatch, error):
+    def refuse(check, m):
+        raise error("forced refusal")
+
+    patch_check(monkeypatch, 13, refuse)
+    assert as_one_lane(capsys, monkeypatch, "--n", "2") == (2, ok_lines(13), "forced refusal\n")
+
+
+def test_any_other_exception_in_a_check_propagates(capsys, monkeypatch):
+    patch_check(monkeypatch, 13, lambda check, m: 1 // 0)
+    assert as_one_lane(capsys, monkeypatch, "--n", "2") == (ZeroDivisionError, ok_lines(13), "")
+
+
+def every_check_in_a_worker(monkeypatch, act):
+    """Every check runs act() first when a worker runs it."""
+    caller = os.getpid()
+    for index in range(len(verify.ALL_CHECKS)):
+        patch_check(monkeypatch, index, lambda check, m: (os.getpid() != caller and act()) or check(m))
+
+
+def test_a_check_that_raised_in_a_worker_is_run_again_at_its_turn(capsys, monkeypatch):
+    def flaky():
+        raise RuntimeError("only in a worker")
+
+    every_check_in_a_worker(monkeypatch, flaky)
+    assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
+
+
+def test_the_checks_of_a_worker_that_died_are_run_by_the_caller(capsys, monkeypatch):
+    every_check_in_a_worker(monkeypatch, lambda: os._exit(0))
+    assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
+
+
+def test_a_closed_stdout_reaps_every_worker(capsys, monkeypatch):
+    class Head:
+        """A stdout whose reader goes away after three lines, as `| head -3`."""
+
+        lines = 0
+
+        def write(self, text):
+            if self.lines == 3:
+                raise BrokenPipeError
+            self.lines += text.count("\n")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return closed
+
+    closed = os.open(os.devnull, os.O_WRONLY)
+    monkeypatch.setattr("sys.stdout", Head())
+    try:
+        code, _, _ = run_lanes(capsys, monkeypatch, 3, "--n", "3")
+    finally:
+        os.close(closed)
+    assert code == cli.EXIT_CLOSED_PIPE
+
+
+def test_one_lane_forks_nothing(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a lane was forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_lanes(capsys, monkeypatch, 1, "--n", "2") == (0, ok_lines(), "")
+    monkeypatch.delattr(os, "fork")
+    assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
