@@ -99,32 +99,6 @@ def _print_json_list(items, to_json):
     _print_json_slices(encode([to_json(item) for item in part])[2:-2] for part in _slices(items))
 
 
-def _print_json_rows(rows, header):
-    """Print [dict(zip(header, row)) for row in rows] as _print_json_list
-    would, for rows of str, int, bool and None cells, each as long as the
-    first: the keys are encoded once, into one %-template of an object,
-    which each row fills with its encoded cells."""
-    import json
-
-    # each cell type a table holds, as json.dumps writes it
-    cell_text = {
-        str: json.encoder.encode_basestring_ascii,
-        int: int.__repr__,
-        bool: {True: "true", False: "false"}.__getitem__,
-        type(None): lambda cell: "null",
-    }
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        rows = chain([first], rows)
-        template = "  {\n%s\n  }" % ",\n".join(
-            "    %s: %%s" % json.encoder.encode_basestring_ascii(key).replace("%", "%%")
-            for key, _ in zip(header, first)
-        )
-    _print_json_slices(",\n".join(template % tuple([cell_text[type(c)](c) for c in row]) for row in part)
-                       for part in _slices(rows))
-
-
 def _print_rows(rows, header, fmt):
     """Emit a table as csv, json or aligned text.
 
@@ -149,7 +123,7 @@ def _print_rows(rows, header, fmt):
             buf.seek(0)
             buf.truncate()
     elif fmt == "json":
-        _print_json_rows(rows, header)
+        _print_json_list(rows, lambda row: dict(zip(header, row)))
     else:
         widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0)) for i, h in enumerate(header)]
         for row in chain([header], rows):

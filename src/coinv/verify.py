@@ -4,13 +4,12 @@ Each check replays one of the package's mathematical guarantees over an
 exhaustive small range and returns None on success or a short witness
 string on the first counterexample.  A check runs at the n it is given;
 run_all lowers the requested n to the limit on the check's @_check line
-and says so on stderr.  run_all runs the checks in one lane per usable
-CPU and prints their lines in check order.
+and says so on stderr.  With two or more usable CPUs, forked workers run
+the checks and report only whether each passed; run_all prints the lines
+in check order and runs again, itself, each check that did not pass.
 """
 
 import os
-import select
-import struct
 import sys
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -567,13 +566,6 @@ ALL_CHECKS = [(name, check) for name, check, _ in CHECKS]
 LIMITS = {name: limit for name, _, limit in CHECKS}
 
 
-# A lane is a process that claims checks and runs them: the caller, and one
-# worker forked per further usable CPU.  A worker sends the caller each
-# result as a header (check index, what, witness length) and the witness.
-_MESSAGE = struct.Struct("<HBI")
-_PASSED, _FAILED, _RAISED = range(3)
-
-
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -581,38 +573,24 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _claim(claims):
-    """The index of the next unclaimed check, or None once none is left."""
-    byte = os.read(claims, 1)
-    return byte[0] if byte else None
-
-
-def _run(check, m, claims):
-    """check(m), or _RAISED if it raised.  A failure empties the claims,
-    so no lane starts a check after it."""
-    try:
-        witness = check(m)
-    except Exception:
-        return _RAISED
-    if witness is not None:
-        while os.read(claims, 256):
-            pass
-    return witness
-
-
-def _work(jobs, claims, out, parent):
-    """A worker's lane: run the checks it claims and send their results
-    through out, until no check is left or its parent is gone."""
+def _work(jobs, claims, verdicts, parent):
+    """A worker: run the checks it claims and write each one's index and
+    whether it passed to verdicts, until no check is left or its parent is
+    gone.  A check that did not pass empties the claims, so no worker
+    starts a check after it."""
     while os.getppid() == parent:
-        i = _claim(claims)
-        if i is None:
+        claim = os.read(claims, 1)
+        if not claim:
             return
-        witness = _run(jobs[i][1], jobs[i][2], claims)
-        what = _RAISED if witness == _RAISED else _PASSED if witness is None else _FAILED
-        data = witness.encode() if what == _FAILED else b""
-        data = _MESSAGE.pack(i, what, len(data)) + data
-        while data:
-            data = data[os.write(out, data):]
+        _, check, m = jobs[claim[0]]
+        try:
+            passed = check(m) is None
+        except Exception:
+            passed = False
+        if not passed:
+            while os.read(claims, 256):
+                pass
+        os.write(verdicts, bytes((claim[0], passed)))  # two bytes: one atomic write
 
 
 def run_all(n):
@@ -623,18 +601,16 @@ def run_all(n):
     depend on n beyond the checks' results.  Returns 0 when everything
     passes, 1 otherwise.
 
-    The checks run in one lane per usable CPU: this process and a forked
-    worker per further CPU.  Every lane takes the next unclaimed check
-    from one pipe, filled with one byte per check index, so the load
-    balances as the checks run.  The lines are printed in check order, each
-    as soon as every earlier check is known, so stdout, stderr and the exit
-    code are those of running the checks one by one:
-    * a FAIL empties the pipe, so no lane starts a later check, and
-      results after it are dropped;
-    * a check that raised in a lane is run again here at its turn, so its
-      exception surfaces where it would have;
-    * checks that a worker never reported, as when it died, are run here
-      once no worker is left.
+    With two or more usable CPUs, one worker per CPU runs the checks.
+    Every worker takes the next unclaimed check from one pipe, filled with
+    one byte per check index, so the load balances as the checks run, and
+    writes each check's index and whether it passed to one verdict pipe.
+    The caller takes the checks in order and reads verdicts until the
+    check's own arrives or no worker is left; it runs here, at its turn,
+    every check that did not pass (it failed, raised or its worker died)
+    and every check no worker reported.  Every check is deterministic, so
+    stdout, stderr and the exit code are those of running the checks one
+    by one, which is what the caller does with one CPU or without os.fork.
     The workers are killed and reaped before this returns or raises.
     """
     jobs = [(name, fn, min(n, LIMITS[name])) for name, fn in ALL_CHECKS]
@@ -642,82 +618,40 @@ def run_all(n):
     claims, fill = os.pipe()
     os.write(fill, bytes(range(len(jobs))))  # one byte an index: at most 256 checks
     os.close(fill)
+    read_verdicts, write_verdicts = os.pipe()
     parent = os.getpid()
     sys.stdout.flush()
     sys.stderr.flush()
-    workers = {}  # read end of a worker's pipe -> its pid
+    workers = []
     try:
-        for _ in range(lanes - 1):
-            read, write = os.pipe()
+        for _ in range(lanes if lanes > 1 else 0):
             pid = os.fork()
             if pid == 0:
                 try:
-                    for fd in (read, *workers):
-                        os.close(fd)
+                    os.close(read_verdicts)
                     quiet = os.open(os.devnull, os.O_WRONLY)
                     os.dup2(quiet, 1)
                     os.dup2(quiet, 2)
-                    _work(jobs, claims, write, parent)
+                    _work(jobs, claims, write_verdicts, parent)
                 finally:
                     os._exit(0)
-            os.close(write)
-            workers[read] = pid
-        return _collect(n, jobs, claims, workers)
-    finally:
-        for fd, pid in workers.items():
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            os.close(fd)
-        os.close(claims)
-
-
-def _collect(n, jobs, claims, workers):
-    """Run checks in this lane and print every check's lines in order,
-    reading the workers' results as they come."""
-    results = {}  # check index -> witness, or _RAISED
-    pending = {fd: bytearray() for fd in workers}  # the live workers' unread bytes
-
-    def receive(timeout):
-        for fd in select.select(list(pending), [], [], timeout)[0]:
-            data = os.read(fd, 1 << 16)
-            if not data:  # the worker has exited
-                del pending[fd]
-                continue
-            buffer = pending[fd]
-            buffer += data
-            while len(buffer) >= _MESSAGE.size:
-                i, what, size = _MESSAGE.unpack_from(buffer)
-                end = _MESSAGE.size + size
-                if len(buffer) < end:
-                    break
-                results[i] = buffer[_MESSAGE.size:end].decode() if what == _FAILED else (
-                    _RAISED if what == _RAISED else None)
-                del buffer[:end]
-
-    claiming = True
-    turn = 0
-    while turn < len(jobs):
-        name, fn, m = jobs[turn]
-        if pending and turn not in results:
-            receive(0)
-        if turn in results and results[turn] != _RAISED:
-            witness = results[turn]
+            workers.append(pid)
+        os.close(write_verdicts)  # so the reads end once every worker has exited
+        passed = {}  # check index -> whether a worker saw it pass
+        for turn, (name, fn, m) in enumerate(jobs):
+            while turn not in passed and (data := os.read(read_verdicts, 512)):
+                passed.update(zip(data[::2], data[1::2]))
+            witness = None if passed.get(turn) else fn(m)
             if m < n:
                 print("verify: %s ran at n=%d (asked %d)" % (name, m, n), file=sys.stderr)
             if witness is not None:
                 print("FAIL %s: %s" % (name, witness))
                 return 1
             print("ok   %s" % name)
-            turn += 1
-        elif claiming and turn not in results:
-            i = _claim(claims)
-            if i is None:
-                claiming = False
-            else:
-                results[i] = _run(jobs[i][1], jobs[i][2], claims)
-        elif turn in results or not pending:
-            # it raised in a lane, or no worker is left to report it: run it at its turn
-            results[turn] = fn(m)
-        else:
-            receive(None)
-    return 0
+        return 0
+    finally:
+        for pid in workers:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        os.close(read_verdicts)
+        os.close(claims)

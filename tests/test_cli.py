@@ -163,7 +163,7 @@ def test_json_rows_match_one_dumps_of_the_whole_table(capsys, rows):
 
 
 def test_json_rows_escape_keys_and_cells_as_dumps_does(capsys):
-    # the keys fill a %-template, so a % in a key must come out as itself
+    # a % in a key must come out as itself
     header = ('say "%s"', "caf\u00e9", "%", "back\\slash\n", "d")
     rows = [('"%d" \\ %%', "\u00e9\u2603\U0001f600", -7, False, None), ("\t", "", 10**30, True, None)]
     cli._print_rows(rows, header, "json")
@@ -244,7 +244,7 @@ def test_bijection_n7_json_and_text_are_pinned(capsys, fmt, digest):
 # resident set in kB to the file named by its first argument, or nothing
 # where there is no /proc/self/status.  The peak is the larger of the
 # process's own (VmHWM) and that of its largest reaped child, so it covers
-# verify's lanes: they are forked, not started afresh, and each counts the
+# verify's workers: they are forked, not started afresh, and each counts the
 # pages it shares with the process.  The process's ru_maxrss, as os.wait4
 # returns it, will not do: on Linux it also counts the resident set of the
 # process that spawned it.

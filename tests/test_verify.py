@@ -735,10 +735,13 @@ def test_lanes_print_in_check_order(capsys, monkeypatch):
 
 @pytest.mark.parametrize("index", [0, 13, 25])
 def test_lanes_stop_at_the_first_failure(capsys, monkeypatch, index):
-    patch_check(monkeypatch, index, lambda check, m: "forced at %d" % m)
     name = verify.ALL_CHECKS[index][0]
-    code, out, _ = as_one_lane(capsys, monkeypatch, "--n", "2")
-    assert (code, out) == (1, ok_lines(index) + "FAIL %s: forced at 2\n" % name)
+    # an empty witness is a failure too: a check passes only when it returns None
+    for form in ("forced at %d", ""):
+        with monkeypatch.context() as patch:
+            patch_check(patch, index, lambda check, m: form and form % m)
+            code, out, _ = as_one_lane(capsys, monkeypatch, "--n", "2")
+        assert (code, out) == (1, ok_lines(index) + "FAIL %s: %s\n" % (name, form and form % 2))
 
 
 def test_no_lane_starts_a_check_above_a_known_failure(capsys, monkeypatch, tmp_path):
@@ -752,7 +755,7 @@ def test_no_lane_starts_a_check_above_a_known_failure(capsys, monkeypatch, tmp_p
 
         patch_check(monkeypatch, index, run)
 
-    # the other two lanes are busy in checks 1 and 2 when check 0 fails
+    # the other two workers are busy in checks 1 and 2 when check 0 fails
     record(0, lambda check, m: "forced")
     for index in range(1, len(verify.ALL_CHECKS)):
         record(index, lambda check, m: time.sleep(0.3) or check(m))
@@ -783,11 +786,16 @@ def every_check_in_a_worker(monkeypatch, act):
 
 
 def test_a_check_that_raised_in_a_worker_is_run_again_at_its_turn(capsys, monkeypatch):
+    """A check that raised, or failed, in a worker is run again by the
+    caller, whose run decides its line."""
+
     def flaky():
         raise RuntimeError("only in a worker")
 
-    every_check_in_a_worker(monkeypatch, flaky)
-    assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
+    for act in (flaky, lambda: "failed only in a worker"):
+        with monkeypatch.context() as patch:
+            every_check_in_a_worker(patch, act)
+            assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
 
 
 def test_the_checks_of_a_worker_that_died_are_run_by_the_caller(capsys, monkeypatch):
@@ -822,10 +830,18 @@ def test_a_closed_stdout_reaps_every_worker(capsys, monkeypatch):
 
 
 def test_one_lane_forks_nothing(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("a lane was forked")
+    forks = []
+    fork = os.fork
 
-    monkeypatch.setattr(os, "fork", refuse)
+    def count():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", count)
     assert run_lanes(capsys, monkeypatch, 1, "--n", "2") == (0, ok_lines(), "")
+    assert forks == []
+    # one worker per usable CPU
+    assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
+    assert forks == [os.getpid()] * 3
     monkeypatch.delattr(os, "fork")
     assert run_lanes(capsys, monkeypatch, 3, "--n", "2") == (0, ok_lines(), "")
